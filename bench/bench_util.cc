@@ -1,11 +1,11 @@
 #include "bench_util.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "common/clock.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "replication/link_object.h"
@@ -21,12 +21,6 @@ constexpr uint32_t kRFiller = kTargetR - 4 - 8;
 // STYPE: field_s(4) + repfield(20) + filler
 constexpr uint32_t kSFiller = kTargetS - 4 - 20;
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 }  // namespace
 
 Result<ModelWorkload> BuildModelWorkload(const WorkloadOptions& options) {
@@ -41,8 +35,6 @@ Result<ModelWorkload> BuildModelWorkload(const WorkloadOptions& options) {
   db_options.buffer_pool_frames = options.pool_frames;
   db_options.read_ahead_window = options.read_ahead_window;
   db_options.file_path = options.file_path;
-  db_options.storage_backend = options.storage_backend;
-  db_options.o_direct = options.o_direct;
   db_options.worker_threads = options.worker_threads;
   db_options.enable_telemetry = options.enable_telemetry;
   db_options.slow_query_ns = options.slow_query_ns;
@@ -350,27 +342,20 @@ size_t ConsumeThreadsFlag(int* argc, char** argv, size_t fallback) {
   return fallback;
 }
 
-DeviceChoice ConsumeDeviceFlag(int* argc, char** argv) {
-  DeviceChoice choice;
+bool ConsumeDeviceFlag(int* argc, char** argv) {
   for (int i = 1; i < *argc; ++i) {
     if (std::strncmp(argv[i], "--device=", 9) != 0) continue;
-    const char* value = argv[i] + 9;
-    if (std::strcmp(value, "file") == 0) {
-      choice = {Database::StorageBackend::kFile, false, "file"};
-    } else if (std::strcmp(value, "uring") == 0) {
-      choice = {Database::StorageBackend::kUring, false, "uring"};
-    } else if (std::strcmp(value, "uring-direct") == 0) {
-      choice = {Database::StorageBackend::kUring, true, "uring-direct"};
-    } else {
+    const bool file = std::strcmp(argv[i] + 9, "file") == 0;
+    if (!file) {
       std::fprintf(stderr,
-                   "warning: unknown --device=%s (want file|uring|"
-                   "uring-direct), keeping default\n",
-                   value);
+                   "warning: unknown --device=%s (want file), keeping the "
+                   "in-memory device\n",
+                   argv[i] + 9);
     }
     RemoveArg(argc, argv, i);
-    return choice;
+    return file;
   }
-  return choice;
+  return false;
 }
 
 }  // namespace fieldrep::bench

@@ -52,11 +52,6 @@ struct WorkloadOptions {
   uint32_t read_ahead_window = kDefaultReadAheadWindow;
   /// Backing file for the database; empty keeps the in-memory device.
   std::string file_path;
-  /// Device implementation for file-backed workloads (ignored when
-  /// file_path is empty): the `--device={file,uring,uring-direct}` flag.
-  Database::StorageBackend storage_backend = Database::StorageBackend::kAuto;
-  /// With kUring: open the backing file O_DIRECT.
-  bool o_direct = false;
   /// Worker threads for parallel read execution (1 = serial engine).
   size_t worker_threads = 1;
   /// Telemetry configuration, forwarded to Database::Options. The
@@ -146,17 +141,11 @@ uint32_t ConsumeWindowFlag(int* argc, char** argv, uint32_t fallback);
 /// `fallback` when the flag is absent).
 size_t ConsumeThreadsFlag(int* argc, char** argv, size_t fallback);
 
-/// The `--device=` choice of every raw-I/O bench.
-struct DeviceChoice {
-  Database::StorageBackend backend = Database::StorageBackend::kAuto;
-  bool o_direct = false;
-  /// "file", "uring", or "uring-direct" — for bench output labels.
-  const char* name = "file";
-};
-
-/// Recognizes and removes `--device={file,uring,uring-direct}`. Unknown
-/// values print a warning to stderr and keep the default.
-DeviceChoice ConsumeDeviceFlag(int* argc, char** argv);
+/// Recognizes and removes `--device=file`, returning true when present
+/// (the bench then runs on a file-backed FileDevice instead of the
+/// in-memory device). Unknown values print a warning to stderr and keep
+/// the in-memory default.
+bool ConsumeDeviceFlag(int* argc, char** argv);
 
 }  // namespace fieldrep::bench
 

@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,17 +36,11 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/clock.h"
 #include "common/strings.h"
 
 namespace fieldrep::bench {
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Mixed read/write mode: two reader threads against `writers` concurrent
 /// updaters of S.repfield (which propagates into the in-place replicas on

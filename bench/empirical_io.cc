@@ -32,7 +32,7 @@ std::string KeySafe(const char* name) {
 }
 
 void RunSetting(bool clustered, uint32_t s_count, int trials, uint32_t window,
-                size_t threads, const DeviceChoice& device, BenchJson* json) {
+                size_t threads, bool file_device, BenchJson* json) {
   const double fr = 0.005;
   const double fs = 0.005;
   std::printf("--- %s indexes, |S| = %u, fr = fs = %.3f ---\n",
@@ -56,13 +56,11 @@ void RunSetting(bool clustered, uint32_t s_count, int trials, uint32_t window,
       options.strategy = strategy;
       options.read_ahead_window = window;
       options.worker_threads = threads;
-      if (device.backend != Database::StorageBackend::kAuto) {
-        // --device selects a real file-backed device; each cell gets a
-        // fresh backing file (the default stays on the in-memory device).
-        options.storage_backend = device.backend;
-        options.o_direct = device.o_direct;
+      if (file_device) {
+        // --device=file selects a real file-backed device; each cell gets
+        // a fresh backing file (the default stays on the in-memory device).
         options.file_path = StringPrintf(
-            "/tmp/fieldrep_empirical_%s_%u_%d_%d.db", device.name, f,
+            "/tmp/fieldrep_empirical_%u_%d_%d.db", f,
             static_cast<int>(strategy), clustered ? 1 : 0);
         std::remove(options.file_path.c_str());
       }
@@ -144,7 +142,7 @@ void RunSetting(bool clustered, uint32_t s_count, int trials, uint32_t window,
 }
 
 void Run(uint32_t s_count, int trials, uint32_t window, size_t threads,
-         const DeviceChoice& device, const std::string& json_path) {
+         bool file_device, const std::string& json_path) {
   std::printf(
       "== Empirical validation: engine-measured page I/O vs the Section 6 "
       "cost model ==\n\n");
@@ -156,10 +154,10 @@ void Run(uint32_t s_count, int trials, uint32_t window, size_t threads,
     json.Add("read_ahead_window", window);
     json.Add("threads", static_cast<double>(threads));
   }
-  RunSetting(/*clustered=*/false, s_count, trials, window, threads, device,
-             json_ptr);
-  RunSetting(/*clustered=*/true, s_count, trials, window, threads, device,
-             json_ptr);
+  RunSetting(/*clustered=*/false, s_count, trials, window, threads,
+             file_device, json_ptr);
+  RunSetting(/*clustered=*/true, s_count, trials, window, threads,
+             file_device, json_ptr);
   std::printf(
       "Expected shape (the paper's findings at engine level): in-place "
       "reads cheapest,\nno-replication reads dearest; in-place updates "
@@ -184,10 +182,10 @@ int main(int argc, char** argv) {
   uint32_t window = fieldrep::bench::ConsumeWindowFlag(
       &argc, argv, fieldrep::kDefaultReadAheadWindow);
   size_t threads = fieldrep::bench::ConsumeThreadsFlag(&argc, argv, 1);
-  fieldrep::bench::DeviceChoice device =
-      fieldrep::bench::ConsumeDeviceFlag(&argc, argv);
+  bool file_device = fieldrep::bench::ConsumeDeviceFlag(&argc, argv);
   uint32_t s_count = argc > 1 ? static_cast<uint32_t>(std::atoi(argv[1])) : 2000;
   int trials = argc > 2 ? std::atoi(argv[2]) : 3;
-  fieldrep::bench::Run(s_count, trials, window, threads, device, json_path);
+  fieldrep::bench::Run(s_count, trials, window, threads, file_device,
+                       json_path);
   return 0;
 }

@@ -1,28 +1,27 @@
-// Larger-than-memory scale bench (DESIGN.md §15): builds a replicated
-// R -> S database far bigger than the buffer pool, then drives zipfian
-// point reads (batched through the prefetch path) and zipfian updates of
-// the replicated field (each one fans out to its f replicas), measuring
-// throughput, per-op latency percentiles, and read/write amplification.
+// Larger-than-memory scale bench (DESIGN.md §9): builds a replicated
+// R -> S database far bigger than the buffer pool on a FileDevice, then
+// drives zipfian point reads (batched through the prefetch path) and
+// zipfian updates of the replicated field (each one fans out to its f
+// replicas), measuring throughput, per-op latency percentiles, and
+// read/write amplification. At pool = 1-10% of the data almost every
+// batch misses, so the device sees deep multi-page read batches
+// (window > 1) and contiguous write-back runs.
 //
-// This is the workload the async io_uring backend exists for: at pool =
-// 1-10% of the data, almost every batch misses and the device sees deep
-// multi-page read batches (window > 1) and contiguous write-back runs.
-// Compare `--device=file` with `--device=uring` / `--device=uring-direct`
-// on the same preset.
+// Read latency covers the I/O a read causes: each batch's prefetch time
+// is charged to the batch's first read sample.
 //
 // The *logical* I/O counters in the JSON (fetches/hits/disk_reads/
 // disk_writes) are deterministic for a given preset + seed and identical
-// across devices and windows (the pool's charge-on-first-fetch rule), so
-// CI compares them against the committed BENCH_scale_io.json seed.
+// across windows (the pool's charge-on-first-fetch rule), so CI compares
+// them against the committed BENCH_scale_io.json seed.
 //
 // Presets: --preset=ci (~30k objects, seconds), --preset=default (~250k),
 // --preset=full (10M objects, needs ~2 GiB of disk and a long build).
 // Flags: --pool=PCT (pool as % of data pages, default 5), --zipf=THETA
-// (default 0.99), --window=N (prefetch batch, default 16), --device=...,
-// --reads=N, --updates=N, --json[=PATH].
+// (default 0.99), --window=N (prefetch batch, default 16), --reads=N,
+// --updates=N, --json[=PATH].
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -31,18 +30,12 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/clock.h"
 #include "common/random.h"
 #include "common/strings.h"
 
 namespace fieldrep::bench {
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Gray et al. style zipfian generator: O(n) zeta precompute once, O(1)
 /// per sample. theta in (0, 1); larger = more skew. Item 0 is hottest.
@@ -105,19 +98,18 @@ const Preset* FindPreset(const char* name) {
 }
 
 int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
-        const DeviceChoice& device, uint64_t reads, uint64_t updates,
-        uint64_t seed, const std::string& json_path) {
+        uint64_t reads, uint64_t updates, uint64_t seed,
+        const std::string& json_path) {
   const uint64_t r_count =
       static_cast<uint64_t>(preset.f) * preset.s_count;
   std::printf(
       "== scale_io: |S|=%u f=%u (%llu objects), zipf theta=%.2f, pool=%u%%, "
-      "window=%u, device=%s ==\n",
+      "window=%u ==\n",
       preset.s_count, preset.f,
       static_cast<unsigned long long>(r_count + preset.s_count), theta,
-      pool_pct, window, device.name);
+      pool_pct, window);
 
-  const std::string path =
-      StringPrintf("/tmp/fieldrep_scale_io_%s.db", device.name);
+  const std::string path = "/tmp/fieldrep_scale_io.db";
   std::remove(path.c_str());
 
   // --- Build phase: big pool, bulk insert, replicate, checkpoint --------
@@ -129,8 +121,6 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
   build.pool_frames = 65536;
   build.read_ahead_window = window;
   build.file_path = path;
-  build.storage_backend = device.backend;
-  build.o_direct = device.o_direct;
   build.seed = seed;
   auto workload = BuildModelWorkload(build);
   if (!workload.ok()) {
@@ -150,8 +140,6 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
   // --- Reopen with a pool that is pool_pct % of the data ----------------
   Database::Options reopen;
   reopen.file_path = path;
-  reopen.storage_backend = device.backend;
-  reopen.o_direct = device.o_direct;
   reopen.read_ahead_window = window;
   auto opened = Database::Open(reopen);
   if (!opened.ok()) {
@@ -185,7 +173,6 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
   json.Add("pool_pct", pool_pct);
   json.Add("zipf_theta", theta);
   json.Add("window", window);
-  json.Add("device_uring", device.backend == Database::StorageBackend::kUring);
   json.Add("build_seconds", build_s);
 
   // --- Read phase: zipfian point reads of R, batched by `window` --------
@@ -208,12 +195,19 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
       for (size_t j = 0; j < n; ++j) {
         prefetch_batch.push_back(r_oids[zipf.Next(&rng)]);
       }
-      if (window > 0) (void)db.pool().PrefetchOidPages(prefetch_batch);
+      // The batch's device reads happen here, so their time is charged to
+      // the batch's first read sample: the percentiles cover the I/O.
+      uint64_t prefetch_ns = 0;
+      if (window > 0) {
+        uint64_t t0 = NowNs();
+        (void)db.pool().PrefetchOidPages(prefetch_batch);
+        prefetch_ns = NowNs() - t0;
+      }
       for (size_t j = 0; j < n; ++j) {
         Object object;
         uint64_t t0 = NowNs();
         s = db.Get("R", prefetch_batch[j], &object);
-        lat.push_back(NowNs() - t0);
+        lat.push_back(NowNs() - t0 + (j == 0 ? prefetch_ns : 0));
         if (!s.ok()) {
           std::printf("read failed: %s\n", s.ToString().c_str());
           return 1;
@@ -245,7 +239,6 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
     json.Add("read.hits", static_cast<double>(io.hits));
     json.Add("read.disk_reads", static_cast<double>(io.disk_reads));
     json.Add("read.batched_reads", static_cast<double>(io.batched_reads));
-    json.Add("read.async_reads", static_cast<double>(io.async_reads));
     json.Add("read.bytes_read", static_cast<double>(io.bytes_read));
     json.Add("read.amplification", read_amp);
   }
@@ -301,7 +294,6 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
     json.Add("update.disk_writes", static_cast<double>(io.disk_writes));
     json.Add("update.coalesced_writes",
              static_cast<double>(io.coalesced_writes));
-    json.Add("update.async_writes", static_cast<double>(io.async_writes));
     json.Add("update.bytes_written", static_cast<double>(io.bytes_written));
     json.Add("update.amplification", write_amp);
   }
@@ -330,8 +322,6 @@ int main(int argc, char** argv) {
   std::string json_path =
       fieldrep::bench::ConsumeJsonFlag(&argc, argv, "scale_io");
   uint32_t window = fieldrep::bench::ConsumeWindowFlag(&argc, argv, 16);
-  fieldrep::bench::DeviceChoice device =
-      fieldrep::bench::ConsumeDeviceFlag(&argc, argv);
 
   const fieldrep::bench::Preset* preset = &kPresets[0];
   uint32_t pool_pct = 5;
@@ -362,7 +352,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  return fieldrep::bench::Run(*preset, pool_pct, theta, window, device,
+  return fieldrep::bench::Run(*preset, pool_pct, theta, window,
                               reads == 0 ? preset->reads : reads,
                               updates == 0 ? preset->updates : updates, seed,
                               json_path);

@@ -18,7 +18,7 @@ if [ -n "$matches" ]; then
   echo "$matches" >&2
   echo >&2
   echo "Use the annotated vocabulary instead (DESIGN.md #13):" >&2
-  echo "  Mutex / SharedMutex / RecursiveMutex  with a LockRank and a name" >&2
+  echo "  Mutex / SharedMutex  with a LockRank and a name" >&2
   echo "  MutexLock / ReaderMutexLock / WriterMutexLock / UniqueMutexLock" >&2
   echo "  CondVar (condition_variable_any over the annotated locks)" >&2
   exit 1

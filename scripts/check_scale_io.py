@@ -4,10 +4,9 @@
 Usage: scripts/check_scale_io.py NEW_JSON [SEED_JSON]
 
 The *logical* I/O counters (fetches / hits / disk_reads / disk_writes per
-phase) are deterministic for a given preset + seed + window and identical
-across storage devices (file vs uring vs uring-direct) — the buffer pool's
-charge-on-first-fetch rule guarantees it. Wall-clock metrics vary run to
-run and are not compared. Exit code 1 on any mismatch.
+phase) are deterministic for a given preset + seed, and identical for any
+read-ahead window — the buffer pool's charge-on-first-fetch rule
+guarantees it. Wall-clock metrics vary run to run and are not compared. Exit code 1 on any mismatch.
 """
 
 import json

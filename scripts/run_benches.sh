@@ -1,27 +1,14 @@
 #!/usr/bin/env bash
 # Runs the benchmark suite and collects machine-readable results.
 #
-# Usage: scripts/run_benches.sh [--device=file|uring|uring-direct] \
-#                                [build-dir] [out-dir]
+# Usage: scripts/run_benches.sh [build-dir] [out-dir]
 #
-#   --device   storage device forwarded to every raw-I/O bench
-#              (empirical_io, scale_io); default file
 #   build-dir  CMake build tree containing bench/ binaries (default: build)
 #   out-dir    where BENCH_*.json files are collected (default: bench-results)
 #
 # Benchmarks that support --json write BENCH_<name>.json; the remaining
 # table-only benches have their stdout captured as <name>.txt.
 set -euo pipefail
-
-DEVICE="file"
-ARGS=()
-for arg in "$@"; do
-  case "$arg" in
-    --device=*) DEVICE="${arg#--device=}" ;;
-    *) ARGS+=("$arg") ;;
-  esac
-done
-set -- "${ARGS[@]+"${ARGS[@]}"}"
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-bench-results}"
@@ -67,10 +54,9 @@ run_as() {
 # JSON-capable benches: results land in $OUT_DIR/BENCH_<name>.json.
 # --threads records the worker count in the JSON metadata (concurrent_read
 # additionally sweeps its built-in 1/2/4/8 ladder).
-run empirical_io --json="$OUT_ABS/BENCH_empirical_io.json" \
-  --device="$DEVICE" 500 2
-run scale_io --json="$OUT_ABS/BENCH_scale_io.json" --preset=ci \
-  --device="$DEVICE"
+run empirical_io --json="$OUT_ABS/BENCH_empirical_io.json" --device=file \
+  500 2
+run scale_io --json="$OUT_ABS/BENCH_scale_io.json" --preset=ci
 run micro_ops --json="$OUT_ABS/BENCH_micro_ops.json" --threads=4
 run concurrent_read --json="$OUT_ABS/BENCH_concurrent_read.json" --threads=4
 run net_throughput --json="$OUT_ABS/BENCH_net_throughput.json" --max-clients 64

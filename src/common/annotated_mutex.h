@@ -22,8 +22,8 @@
 ///      abort with both lock names on any acquisition that inverts the
 ///      documented order. Release builds compile the checks out.
 ///
-/// Raw std::mutex / std::shared_mutex / std::recursive_mutex declarations
-/// outside this header are rejected by scripts/check_annotations.sh.
+/// Raw std::mutex / std::shared_mutex declarations outside this header
+/// are rejected by scripts/check_annotations.sh.
 
 // ---------------------------------------------------------------------------
 // Clang thread-safety annotation macros (canonical names from the Clang
@@ -77,14 +77,12 @@ class CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void lock() ACQUIRE() {
-    lock_rank::OnAcquire(this, rank_, name_, /*reentrant=*/false,
-                         /*blocking=*/true);
+    lock_rank::OnAcquire(this, rank_, name_, /*blocking=*/true);
     mu_.lock();
   }
   bool try_lock() TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-    lock_rank::OnAcquire(this, rank_, name_, /*reentrant=*/false,
-                         /*blocking=*/false);
+    lock_rank::OnAcquire(this, rank_, name_, /*blocking=*/false);
     return true;
   }
   void unlock() RELEASE() {
@@ -104,41 +102,6 @@ class CAPABILITY("mutex") Mutex {
   const char* const name_;
 };
 
-/// std::recursive_mutex with a rank and a name. Same-instance
-/// re-acquisition bypasses the rank check (the thread already owns it, so
-/// no new blocking edge is created).
-class CAPABILITY("recursive_mutex") RecursiveMutex {
- public:
-  RecursiveMutex(LockRank rank, const char* name)
-      : rank_(rank), name_(name) {}
-  RecursiveMutex(const RecursiveMutex&) = delete;
-  RecursiveMutex& operator=(const RecursiveMutex&) = delete;
-
-  void lock() ACQUIRE() {
-    lock_rank::OnAcquire(this, rank_, name_, /*reentrant=*/true,
-                         /*blocking=*/true);
-    mu_.lock();
-  }
-  bool try_lock() TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    lock_rank::OnAcquire(this, rank_, name_, /*reentrant=*/true,
-                         /*blocking=*/false);
-    return true;
-  }
-  void unlock() RELEASE() {
-    lock_rank::OnRelease(this, name_);  // before unlock; see Mutex
-    mu_.unlock();
-  }
-
-  LockRank rank() const { return rank_; }
-  const char* name() const { return name_; }
-
- private:
-  std::recursive_mutex mu_;
-  const LockRank rank_;
-  const char* const name_;
-};
-
 /// std::shared_mutex with a rank and a name. Shared acquisitions are
 /// rank-checked like exclusive ones (a reader blocking behind a writer
 /// deadlocks all the same).
@@ -149,14 +112,12 @@ class CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex& operator=(const SharedMutex&) = delete;
 
   void lock() ACQUIRE() {
-    lock_rank::OnAcquire(this, rank_, name_, /*reentrant=*/false,
-                         /*blocking=*/true);
+    lock_rank::OnAcquire(this, rank_, name_, /*blocking=*/true);
     mu_.lock();
   }
   bool try_lock() TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-    lock_rank::OnAcquire(this, rank_, name_, /*reentrant=*/false,
-                         /*blocking=*/false);
+    lock_rank::OnAcquire(this, rank_, name_, /*blocking=*/false);
     return true;
   }
   void unlock() RELEASE() {
@@ -165,14 +126,12 @@ class CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void lock_shared() ACQUIRE_SHARED() {
-    lock_rank::OnAcquire(this, rank_, name_, /*reentrant=*/false,
-                         /*blocking=*/true);
+    lock_rank::OnAcquire(this, rank_, name_, /*blocking=*/true);
     mu_.lock_shared();
   }
   bool try_lock_shared() TRY_ACQUIRE_SHARED(true) {
     if (!mu_.try_lock_shared()) return false;
-    lock_rank::OnAcquire(this, rank_, name_, /*reentrant=*/false,
-                         /*blocking=*/false);
+    lock_rank::OnAcquire(this, rank_, name_, /*blocking=*/false);
     return true;
   }
   void unlock_shared() RELEASE_SHARED() {
@@ -203,20 +162,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// RAII lock of a RecursiveMutex.
-class SCOPED_CAPABILITY RecursiveMutexLock {
- public:
-  explicit RecursiveMutexLock(RecursiveMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~RecursiveMutexLock() RELEASE() { mu_.unlock(); }
-  RecursiveMutexLock(const RecursiveMutexLock&) = delete;
-  RecursiveMutexLock& operator=(const RecursiveMutexLock&) = delete;
-
- private:
-  RecursiveMutex& mu_;
 };
 
 /// RAII shared (reader) lock of a SharedMutex.
@@ -277,39 +222,6 @@ class SCOPED_CAPABILITY UniqueMutexLock {
  private:
   Mutex* mu_;
   bool owned_ = false;
-};
-
-/// Takes a RecursiveMutex only when one is present — the query layer's
-/// write gate is a Database-owned lock that standalone executor tests run
-/// without. A conditional acquisition cannot be expressed to the static
-/// analysis, so this guard is deliberately unannotated; the runtime rank
-/// checker still sees every underlying acquisition. LockNow()/released
-/// state support the executor's "defer the gate until spooling starts"
-/// pattern.
-class OptionalRecursiveLock {
- public:
-  OptionalRecursiveLock() = default;
-  explicit OptionalRecursiveLock(RecursiveMutex* mu)
-      NO_THREAD_SAFETY_ANALYSIS : mu_(mu) {
-    if (mu_ != nullptr) mu_->lock();
-  }
-  ~OptionalRecursiveLock() NO_THREAD_SAFETY_ANALYSIS {
-    if (mu_ != nullptr) mu_->unlock();
-  }
-  OptionalRecursiveLock(const OptionalRecursiveLock&) = delete;
-  OptionalRecursiveLock& operator=(const OptionalRecursiveLock&) = delete;
-
-  /// Acquires `mu` now (nullptr is a no-op) and releases it on
-  /// destruction. Must be empty (default-constructed or nullptr).
-  void LockNow(RecursiveMutex* mu) NO_THREAD_SAFETY_ANALYSIS {
-    if (mu == nullptr || mu_ != nullptr) return;
-    mu_ = mu;
-    mu_->lock();
-  }
-  bool owns_lock() const { return mu_ != nullptr; }
-
- private:
-  RecursiveMutex* mu_ = nullptr;
 };
 
 }  // namespace fieldrep

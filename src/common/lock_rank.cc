@@ -38,14 +38,10 @@ std::vector<HeldLock>& Held() {
 }  // namespace
 
 void OnAcquire(const void* lock, LockRank rank, const char* name,
-               bool reentrant, bool blocking) {
+               bool blocking) {
   std::vector<HeldLock>& held = Held();
   for (const HeldLock& h : held) {
     if (h.lock == lock) {
-      if (reentrant) {
-        held.push_back({lock, rank, name});
-        return;
-      }
       Die("re-acquiring a non-recursive lock this thread already holds", h,
           lock, rank, name);
     }

@@ -64,12 +64,11 @@ enum class LockRank : uint16_t {
 };
 
 /// True for rank classes whose members may be held together at the same
-/// rank: per-frame latches (elevator write-back and multi-page appends
-/// legitimately hold several frames at once; each frame's pin protocol
-/// makes the set acyclic) and the logical per-set transaction locks (a
-/// write transaction holds its whole replication closure; the LockTable
-/// only ever *waits* for ids above everything held, so the same-rank set
-/// cannot close a cycle).
+/// rank: per-frame latches (multi-page appends legitimately hold several
+/// frames at once; each frame's pin protocol makes the set acyclic) and
+/// the logical per-set transaction locks (a write transaction holds its
+/// whole replication closure; the LockTable only ever *waits* for ids
+/// above everything held, so the same-rank set cannot close a cycle).
 constexpr bool LockRankAllowsSameRank(LockRank rank) {
   return rank == LockRank::kFrameLatch || rank == LockRank::kSetLock;
 }
@@ -89,23 +88,22 @@ namespace lock_rank {
 
 /// Records an acquisition of `lock` on this thread's held stack, aborting
 /// (with both lock names) if it would invert the rank order.
-///   - `reentrant`: same-instance re-acquisition is legal (recursive mutex).
-///   - `blocking`:  false for try_lock-style acquisitions, which cannot
-///     deadlock and are therefore recorded but not order-checked.
+/// `blocking` is false for try_lock-style acquisitions, which cannot
+/// deadlock and are therefore recorded but not order-checked.
 void OnAcquire(const void* lock, LockRank rank, const char* name,
-               bool reentrant, bool blocking);
+               bool blocking);
 
 /// Pops the most recent acquisition of `lock`; aborts if it is not held
 /// (an unlock on a thread that never locked is a bug by itself).
 void OnRelease(const void* lock, const char* name);
 
-/// Number of lock acquisitions currently recorded for this thread
-/// (recursive acquisitions count once per level). Test hook.
+/// Number of lock acquisitions currently recorded for this thread. Test
+/// hook.
 size_t HeldCount();
 
 #else
 
-inline void OnAcquire(const void*, LockRank, const char*, bool, bool) {}
+inline void OnAcquire(const void*, LockRank, const char*, bool) {}
 inline void OnRelease(const void*, const char*) {}
 inline size_t HeldCount() { return 0; }
 

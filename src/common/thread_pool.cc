@@ -1,17 +1,8 @@
 #include "common/thread_pool.h"
 
-#include <chrono>
+#include "common/clock.h"
 
 namespace fieldrep {
-
-namespace {
-inline uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;

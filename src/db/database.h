@@ -53,19 +53,6 @@ namespace fieldrep {
 /// \endcode
 class Database : public SetProvider {
  public:
-  /// Which storage device backs a file-backed database (DESIGN.md §15).
-  enum class StorageBackend {
-    /// kFile today; a future default may prefer the ring when available.
-    kAuto,
-    /// Synchronous pread/pwrite FileDevice.
-    kFile,
-    /// io_uring UringDevice (optionally O_DIRECT). Degrades gracefully:
-    /// without kernel/compile-time io_uring support the device still
-    /// opens and runs on its synchronous fallback path, so selecting
-    /// kUring is always safe.
-    kUring,
-  };
-
   struct Options {
     /// Buffer pool capacity in 4 KiB frames.
     size_t buffer_pool_frames = 4096;
@@ -74,12 +61,6 @@ class Database : public SetProvider {
     /// External database device (not owned; overrides file_path). Lets a
     /// test keep the "disk" alive across simulated machine crashes.
     StorageDevice* device = nullptr;
-    /// Device implementation for file-backed databases (ignored for
-    /// in-memory and external devices).
-    StorageBackend storage_backend = StorageBackend::kAuto;
-    /// With kUring: open the backing file O_DIRECT (falls back to
-    /// buffered I/O when the filesystem refuses the flag).
-    bool o_direct = false;
 
     /// Enables write-ahead logging and crash recovery. On open, the
     /// committed tail of the log is replayed onto the database device;

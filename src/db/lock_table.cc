@@ -1,20 +1,12 @@
 #include "db/lock_table.h"
 
-#include <chrono>
-
+#include "common/clock.h"
 #include "common/lock_rank.h"
 #include "common/strings.h"
 
 namespace fieldrep {
 
 namespace {
-inline uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// True when waiting for `lock_id` cannot close a cycle: the id is above
 /// everything the transaction holds. With every waiter obeying this rule
 /// a wait chain is a strictly ascending id sequence.
@@ -104,7 +96,7 @@ Status LockTable::Acquire(Txn* txn, uint32_t lock_id, Mode mode) {
     // (kSetLock < kLockTable; the table lock is internal plumbing, the
     // set lock is what the transaction semantically holds).
     lock_rank::OnAcquire(granted, LockRank::kSetLock, granted->name.c_str(),
-                         false, true);
+                         /*blocking=*/true);
     txn->held.emplace(lock_id, mode);
     held_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -147,7 +139,7 @@ LockTable::TryOutcome LockTable::TryAcquire(Txn* txn, uint32_t lock_id,
     held_it->second = Mode::kExclusive;
   } else {
     lock_rank::OnAcquire(granted, LockRank::kSetLock, granted->name.c_str(),
-                         false, /*blocking=*/false);
+                         /*blocking=*/false);
     txn->held.emplace(lock_id, mode);
     held_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -191,7 +183,7 @@ void LockTable::RegisterHeldOnThread(const Txn& txn) {
     Entry* e = GetEntryLocked(lock_id);
     // blocking=false: attach order is the map's id order, not the
     // original acquisition order; recorded but not order-checked.
-    lock_rank::OnAcquire(e, LockRank::kSetLock, e->name.c_str(), false,
+    lock_rank::OnAcquire(e, LockRank::kSetLock, e->name.c_str(),
                          /*blocking=*/false);
   }
 }

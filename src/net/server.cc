@@ -6,20 +6,13 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 
 #include "common/bytes.h"
+#include "common/clock.h"
 
 namespace fieldrep::net {
 
 namespace {
-
-inline uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
+#include "common/clock.h"
 #include "common/strings.h"
 #include "storage/checksum.h"
 #include "telemetry/metrics.h"
@@ -13,13 +13,6 @@
 namespace fieldrep {
 
 namespace {
-inline uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 constexpr auto kRelaxed = std::memory_order_relaxed;
 }  // namespace
 
@@ -140,8 +133,6 @@ BufferPool::BufferPool(std::unique_ptr<StorageDevice> device, size_t capacity)
 }
 
 BufferPool::~BufferPool() {
-  // Async completion callbacks capture `this`; none may run past here.
-  DrainAsyncIo();
   // Best-effort writeback. A destructor cannot propagate the status, but
   // silently discarding dirty data would hide real corruption — report it.
   Status s = FlushAll();
@@ -354,8 +345,10 @@ Status BufferPool::Prefetch(std::span<const PageId> page_ids) {
   // Claim an in-flight table slot and a victim frame per non-resident id.
   // The pin keeps a later victim sweep in this same batch (and concurrent
   // sweeps once victim_mutex_ drops) from handing the frame out twice.
-  std::vector<PrefetchClaim> claims;
-  claims.reserve(candidates.size());
+  std::vector<PageId> ids;
+  std::vector<size_t> frame_indices;
+  ids.reserve(candidates.size());
+  frame_indices.reserve(candidates.size());
   Status claim_error;
   {
     MutexLock victim_lock(victim_mutex_);
@@ -379,94 +372,56 @@ Status BufferPool::Prefetch(std::span<const PageId> page_ids) {
         break;
       }
       frames_[frame_index].pin_count.store(1, kRelaxed);
-      claims.push_back(PrefetchClaim{id, frame_index});
+      ids.push_back(id);
+      frame_indices.push_back(frame_index);
     }
   }
-  if (!claim_error.ok()) {
-    for (const PrefetchClaim& claim : claims) {
-      AbandonFill(claim.page_id, claim.frame_index);
+  Status s = claim_error;
+  if (s.ok() && !ids.empty()) {
+    std::vector<uint8_t*> bufs(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      bufs[i] = frames_[frame_indices[i]].data.get();
     }
-    return claim_error;
+    uint64_t start_ns = NowNs();
+    s = device_->ReadPages(ids, bufs);
+    stats_.read_ns.fetch_add(NowNs() - start_ns, kRelaxed);
   }
-  if (claims.empty()) return Status::OK();
-
-  std::vector<PageId> ids(claims.size());
-  std::vector<uint8_t*> bufs(claims.size());
-  for (size_t i = 0; i < claims.size(); ++i) {
-    ids[i] = claims[i].page_id;
-    bufs[i] = frames_[claims[i].frame_index].data.get();
-  }
-
-  if (device_->async_io()) {
-    // Fire-and-forget: a prefetch is a scheduling hint, so the caller
-    // does not wait for the device. The completion callback (device
-    // reaper thread) installs the frames; until then the in-flight
-    // markers published above make concurrent fetchers of these pages
-    // wait on the shard condvar, exactly as for a synchronous miss.
-    stats_.async_reads.fetch_add(claims.size(), kRelaxed);
-    BeginAsyncBatch();
-    const uint64_t start_ns = NowNs();
-    auto shared_claims =
-        std::make_shared<std::vector<PrefetchClaim>>(std::move(claims));
-    device_->ReadPagesAsync(
-        std::move(ids), std::move(bufs),
-        [this, shared_claims, start_ns](std::span<const Status> statuses) {
-          stats_.read_ns.fetch_add(NowNs() - start_ns, kRelaxed);
-          InstallPrefetchedPages(*shared_claims, statuses);
-          EndAsyncBatch();
-        });
-    return Status::OK();
-  }
-
-  uint64_t start_ns = NowNs();
-  Status s = device_->ReadPages(ids, bufs);
-  stats_.read_ns.fetch_add(NowNs() - start_ns, kRelaxed);
   if (!s.ok()) {
-    for (const PrefetchClaim& claim : claims) {
-      AbandonFill(claim.page_id, claim.frame_index);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      AbandonFill(ids[i], frame_indices[i]);
     }
     return s;
   }
-  std::vector<Status> statuses(claims.size());
-  InstallPrefetchedPages(claims, statuses);
-  return Status::OK();
-}
 
-void BufferPool::InstallPrefetchedPages(std::span<const PrefetchClaim> claims,
-                                        std::span<const Status> statuses) {
+  // Install each page unpinned and logically uncharged. A page failing
+  // checksum verification is simply not installed (its claim is
+  // abandoned), so the next on-demand fetch sees exactly what it would
+  // have seen without read-ahead, and reports the error itself.
   const bool verify = verify_checksums_.load(kRelaxed);
-  for (size_t i = 0; i < claims.size(); ++i) {
-    const PrefetchClaim& claim = claims[i];
-    Frame& frame = frames_[claim.frame_index];
-    // A failed page is simply not installed (the claim is abandoned), so
-    // the next on-demand fetch sees exactly what it would have seen
-    // without read-ahead, and reports the error itself.
-    if (!statuses[i].ok()) {
-      AbandonFill(claim.page_id, claim.frame_index);
+  stats_.batched_reads.fetch_add(ids.size(), kRelaxed);
+  stats_.bytes_read.fetch_add(ids.size() * kPageSize, kRelaxed);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const PageId page_id = ids[i];
+    Frame& frame = frames_[frame_indices[i]];
+    if (verify && page_id != 0 && !VerifyPageChecksum(frame.data.get())) {
+      AbandonFill(page_id, frame_indices[i]);
       continue;
     }
-    stats_.batched_reads.fetch_add(1, kRelaxed);
-    stats_.bytes_read.fetch_add(kPageSize, kRelaxed);
-    // Same for a page failing checksum verification.
-    if (verify && claim.page_id != 0 &&
-        !VerifyPageChecksum(frame.data.get())) {
-      AbandonFill(claim.page_id, claim.frame_index);
-      continue;
-    }
-    frame.page_id.store(claim.page_id, kRelaxed);
+    frame.page_id.store(page_id, kRelaxed);
     frame.page_lsn.store(0, kRelaxed);
     frame.dirty.store(false, kRelaxed);
     frame.referenced.store(true, kRelaxed);
     frame.in_use.store(true, std::memory_order_release);
     frame.prefetched.store(true, kRelaxed);
-    Shard& shard = ShardFor(claim.page_id);
+    Shard& shard = ShardFor(page_id);
     {
       MutexLock lock(shard.mu);
       frame.pin_count.store(0, kRelaxed);
-      shard.table[claim.page_id] = claim.frame_index;
+      shard.table[page_id] = frame_indices[i];
     }
     shard.cv.notify_all();
   }
+  return Status::OK();
 }
 
 Status BufferPool::PrefetchOidPages(std::span<const Oid> oids) {
@@ -526,21 +481,9 @@ Status BufferPool::FlushFramesOrdered(std::vector<size_t> frame_indices) {
               return frames_[a].page_id.load(kRelaxed) <
                      frames_[b].page_id.load(kRelaxed);
             });
-  const bool async = device_->async_io();
-  // One contiguous-PageId run staged for the device. Heap-shared so the
-  // async completion callback can outlive this frame of the loop; the
-  // staged buffer is page-aligned for O_DIRECT devices.
-  struct RunState {
-    std::vector<PageId> ids;
-    std::vector<size_t> frames;
-    PageBuffer staged;
-    std::vector<const uint8_t*> bufs;
-    std::vector<Status> statuses;  // written by the completion callback
-    bool done = false;             // GUARDED_BY(async_mu_) in spirit
-    uint64_t start_ns = 0;
-  };
-  std::vector<std::shared_ptr<RunState>> submitted;
-  Status stage_error;
+  std::vector<PageId> ids;
+  std::vector<const uint8_t*> bufs;
+  PageBuffer staged;
 
   size_t i = 0;
   while (i < frame_indices.size()) {
@@ -551,19 +494,17 @@ Status BufferPool::FlushFramesOrdered(std::vector<size_t> frame_indices) {
                frames_[frame_indices[i]].page_id.load(kRelaxed) + run) {
       ++run;
     }
-    auto rs = std::make_shared<RunState>();
-    rs->ids.resize(run);
-    rs->frames.resize(run);
-    rs->staged = AllocatePageBuffer(run);
-    rs->bufs.resize(run);
+    ids.resize(run);
+    bufs.resize(run);
+    staged = AllocatePageBuffer(run);
     // Stage each page's bytes under its exclusive latch (checksum
     // stamping mutates them and the copy needs them stable against
     // shared-latch readers), one frame at a time: the flusher never holds
     // two latches, so it cannot form a cycle with a writer that latches
     // page A while fetching page B. The copy is noise next to the write
-    // syscall it feeds. WAL flush ordering holds on both device paths:
-    // BeforePageFlush blocks until the page's LSN is durable BEFORE its
-    // bytes are staged, let alone handed to the device.
+    // syscall it feeds. WAL flush ordering: BeforePageFlush blocks until
+    // the page's LSN is durable BEFORE its bytes are staged, let alone
+    // handed to the device.
     for (size_t j = 0; j < run; ++j) {
       Frame& frame = frames_[frame_indices[i + j]];
       const PageId page_id = frame.page_id.load(kRelaxed);
@@ -571,104 +512,41 @@ Status BufferPool::FlushFramesOrdered(std::vector<size_t> frame_indices) {
         Status s = observer_->BeforePageFlush(page_id,
                                               frame.page_lsn.load(kRelaxed));
         if (!s.ok()) {
-          stage_error = Status(s.code(),
-                               StringPrintf("flushing page %u: %s", page_id,
-                                            s.message().c_str()));
-          break;
+          // Unstaged frames (this run included) simply stay dirty.
+          return Status(s.code(),
+                        StringPrintf("flushing page %u: %s", page_id,
+                                     s.message().c_str()));
         }
       }
       {
         WriterMutexLock latch(frame.latch);
         if (page_id != 0) StampPageChecksum(frame.data.get());
-        std::memcpy(rs->staged.get() + j * kPageSize, frame.data.get(),
+        std::memcpy(staged.get() + j * kPageSize, frame.data.get(),
                     kPageSize);
       }
-      rs->ids[j] = page_id;
-      rs->frames[j] = frame_indices[i + j];
-      rs->bufs[j] = rs->staged.get() + j * kPageSize;
+      ids[j] = page_id;
+      bufs[j] = staged.get() + j * kPageSize;
     }
-    if (!stage_error.ok()) break;  // unstaged frames simply stay dirty
 
-    if (async) {
-      // Submit and move on to staging the next run: the device overlaps
-      // the runs' writes. Completion is awaited below, so this function's
-      // post-conditions match the synchronous path exactly.
-      stats_.async_writes.fetch_add(run, kRelaxed);
-      BeginAsyncBatch();
-      rs->start_ns = NowNs();
-      submitted.push_back(rs);
-      device_->WritePagesAsync(
-          rs->ids, rs->bufs, [this, rs](std::span<const Status> statuses) {
-            stats_.write_ns.fetch_add(NowNs() - rs->start_ns, kRelaxed);
-            rs->statuses.assign(statuses.begin(), statuses.end());
-            {
-              MutexLock lock(async_mu_);
-              rs->done = true;
-            }
-            EndAsyncBatch();
-          });
-    } else {
-      uint64_t start_ns = NowNs();
-      Status s = device_->WritePages(rs->ids, rs->bufs);
-      stats_.write_ns.fetch_add(NowNs() - start_ns, kRelaxed);
-      if (!s.ok()) {
-        // A prefix of the run may have reached the device; the frames
-        // stay dirty, so a later flush rewrites them — always safe.
-        return Status(s.code(),
-                      StringPrintf("flushing pages %u..%u: %s",
-                                   rs->ids.front(), rs->ids.back(),
-                                   s.message().c_str()));
-      }
-      for (size_t j = 0; j < run; ++j) {
-        frames_[rs->frames[j]].dirty.store(false, kRelaxed);
-      }
-      stats_.disk_writes.fetch_add(run, kRelaxed);
-      stats_.bytes_written.fetch_add(run * kPageSize, kRelaxed);
-      if (run > 1) stats_.coalesced_writes.fetch_add(run, kRelaxed);
+    uint64_t start_ns = NowNs();
+    Status s = device_->WritePages(ids, bufs);
+    stats_.write_ns.fetch_add(NowNs() - start_ns, kRelaxed);
+    if (!s.ok()) {
+      // A prefix of the run may have reached the device; the frames
+      // stay dirty, so a later flush rewrites them — always safe.
+      return Status(s.code(), StringPrintf("flushing pages %u..%u: %s",
+                                           ids.front(), ids.back(),
+                                           s.message().c_str()));
     }
+    for (size_t j = 0; j < run; ++j) {
+      frames_[frame_indices[i + j]].dirty.store(false, kRelaxed);
+    }
+    stats_.disk_writes.fetch_add(run, kRelaxed);
+    stats_.bytes_written.fetch_add(run * kPageSize, kRelaxed);
+    if (run > 1) stats_.coalesced_writes.fetch_add(run, kRelaxed);
     i += run;
   }
-  if (submitted.empty()) return stage_error;
-
-  // Wait for this call's runs (not unrelated prefetches), then settle:
-  // pages whose write completed drop their dirty bit; pages whose
-  // write-back failed STAY DIRTY — a later flush rewrites them — and are
-  // named in the returned status.
-  {
-    UniqueMutexLock lock(async_mu_);
-    async_cv_.wait(lock, [&] {
-      for (const auto& rs : submitted) {
-        if (!rs->done) return false;
-      }
-      return true;
-    });
-  }
-  std::string failed_pages;
-  Status first_write_error;
-  for (const auto& rs : submitted) {
-    const size_t run = rs->ids.size();
-    for (size_t j = 0; j < run; ++j) {
-      const Status& s = rs->statuses[j];
-      if (s.ok()) {
-        frames_[rs->frames[j]].dirty.store(false, kRelaxed);
-        stats_.disk_writes.fetch_add(1, kRelaxed);
-        stats_.bytes_written.fetch_add(kPageSize, kRelaxed);
-        if (run > 1) stats_.coalesced_writes.fetch_add(1, kRelaxed);
-      } else {
-        if (first_write_error.ok()) first_write_error = s;
-        if (!failed_pages.empty()) failed_pages += ", ";
-        failed_pages += StringPrintf("%u", rs->ids[j]);
-      }
-    }
-  }
-  if (!first_write_error.ok()) {
-    return Status(first_write_error.code(),
-                  StringPrintf("async write-back failed for pages [%s] "
-                               "(frames stay dirty): %s",
-                               failed_pages.c_str(),
-                               first_write_error.message().c_str()));
-  }
-  return stage_error;
+  return Status::OK();
 }
 
 Status BufferPool::FlushAll() {
@@ -696,14 +574,15 @@ Status BufferPool::FlushAll() {
     }
   }
   Status s = FlushFramesOrdered(dirty);
-  for (size_t i : dirty) frames_[i].pin_count.fetch_sub(1, kRelaxed);
+  // Release: pairs with the evictor's acquire pin check, so a thread that
+  // re-reads an evicted page from the device sees this flush's write.
+  for (size_t i : dirty) {
+    frames_[i].pin_count.fetch_sub(1, std::memory_order_release);
+  }
   return s;
 }
 
 Status BufferPool::EvictAll() {
-  // In-flight async prefetch claims hold a pin; let them settle so the
-  // precondition scan below sees a quiesced pool.
-  DrainAsyncIo();
   {
     MutexLock victim_lock(victim_mutex_);
     for (size_t i = 0; i < capacity_; ++i) {
@@ -775,24 +654,6 @@ std::vector<PageId> BufferPool::DirtyPageIds() const {
   return ids;
 }
 
-void BufferPool::BeginAsyncBatch() {
-  MutexLock lock(async_mu_);
-  ++async_inflight_;
-}
-
-void BufferPool::EndAsyncBatch() {
-  MutexLock lock(async_mu_);
-  --async_inflight_;
-  async_cv_.notify_all();
-}
-
-void BufferPool::DrainAsyncIo() {
-  UniqueMutexLock lock(async_mu_);
-  async_cv_.wait(lock, [&]() NO_THREAD_SAFETY_ANALYSIS {
-    return async_inflight_ == 0;
-  });
-}
-
 Status BufferPool::SyncDevice() {
   uint64_t start_ns = NowNs();
   Status s = device_->Sync();
@@ -847,8 +708,10 @@ Status BufferPool::GetVictimFrame(size_t* frame_index) {
     UniqueMutexLock lock(shard.mu);
     // Re-check under the shard lock: pins originate in the hit path, which
     // runs under this lock, so pin_count == 0 here is authoritative — and
-    // implies the frame's latch is free too.
-    if (frame.pin_count.load(kRelaxed) > 0) continue;
+    // implies the frame's latch is free too. Acquire pairs with the release
+    // of the last unpin, ordering that holder's frame mutations and device
+    // writes before this eviction's writeback and any later re-read.
+    if (frame.pin_count.load(std::memory_order_acquire) > 0) continue;
     if (frame.dirty.load(kRelaxed) && observer_ != nullptr &&
         !observer_->CanEvict(victim_page)) {
       continue;  // no-steal: uncommitted pages stay resident
@@ -957,7 +820,8 @@ void BufferPool::Unpin(size_t frame_index, LatchMode mode) {
     frame.latch.unlock_shared();
   }
   assert(frame.pin_count.load(kRelaxed) > 0);
-  frame.pin_count.fetch_sub(1, kRelaxed);
+  // Release: see the acquire pin check in GetVictimFrame.
+  frame.pin_count.fetch_sub(1, std::memory_order_release);
 }
 
 }  // namespace fieldrep

@@ -176,16 +176,8 @@ class BufferPool {
   ///   - with checksum verification enabled (see set_verify_checksums),
   ///     pages failing it are not installed (the next FetchPage re-reads
   ///     them through the on-demand path).
-  /// Device errors (e.g. a crashed fault-injection device) propagate.
-  ///
-  /// On an asynchronous device (device->async_io()), the batch is
-  /// submitted and Prefetch returns without waiting: frames are installed
-  /// by the device's completion callback, concurrent fetchers of an
-  /// in-flight page wait on the shard condvar exactly as for a
-  /// synchronous miss, and per-page failures abandon the claim (the next
-  /// on-demand fetch reports them). The logical accounting rule above is
-  /// unchanged — completion installs pages uncharged, first fetch
-  /// charges — so IoStats stay byte-identical.
+  /// Device errors (e.g. a crashed fault-injection device) propagate,
+  /// and then none of the batch is installed.
   Status Prefetch(std::span<const PageId> page_ids);
 
   /// Prefetches the distinct pages addressed by `oids` (in sorted page
@@ -272,23 +264,15 @@ class BufferPool {
   /// Issues a device Sync (fsync), counted in stats as a disk_sync.
   Status SyncDevice();
 
-  /// Blocks until every asynchronously submitted batch (prefetch reads,
-  /// write-back runs) has completed and its frames are settled. Cheap
-  /// no-op on synchronous devices. Called by the destructor and EvictAll;
-  /// tests quiescing the pool around stat assertions call it directly.
-  void DrainAsyncIo();
-
  private:
   friend class PageGuard;
 
   struct Frame {
-    /// Page-aligned (PageBuffer) so an O_DIRECT device can transfer
-    /// frames directly, without bounce copies.
     PageBuffer data;
     /// Reader/writer latch. Acquired after the pin (never while holding a
     /// shard or victim lock); pin_count > 0 keeps the Frame itself stable.
-    /// kFrameLatch is a same-rank-ok rank: the elevator flush and
-    /// multi-page appends legitimately hold several latches at once.
+    /// kFrameLatch is a same-rank-ok rank: multi-page appends
+    /// legitimately hold several latches at once.
     SharedMutex latch{LockRank::kFrameLatch, "pool.frame.latch"};
     std::atomic<uint32_t> pin_count{0};
     std::atomic<uint64_t> page_lsn{0};  ///< Durability horizon for flushes.
@@ -351,33 +335,8 @@ class BufferPool {
   /// Called with no pool lock held (the caller pins the frames instead):
   /// taking a frame latch under victim_mutex_ would invert the
   /// frame-latch → victim order.
-  ///
-  /// On an asynchronous device, every run is staged (WAL flush ordering:
-  /// BeforePageFlush blocks per page BEFORE its bytes are handed to the
-  /// device) and submitted without waiting, overlapping the runs'
-  /// device writes; the call then blocks until all its runs complete,
-  /// so the post-conditions (dirty bits, error reporting, counters) are
-  /// identical to the synchronous path.
   Status FlushFramesOrdered(std::vector<size_t> frame_indices)
       EXCLUDES(victim_mutex_);
-
-  /// One claimed-but-unfilled prefetch page: in-flight marker published
-  /// in its shard, victim frame reserved with pin_count 1.
-  struct PrefetchClaim {
-    PageId page_id;
-    size_t frame_index;
-  };
-
-  /// Completion half of Prefetch, shared by the synchronous path and the
-  /// async completion callback (device reaper thread): installs each
-  /// claim whose read succeeded (unpinned, logically uncharged,
-  /// checksum-verified) and abandons the rest.
-  void InstallPrefetchedPages(std::span<const PrefetchClaim> claims,
-                              std::span<const Status> statuses);
-
-  /// Async-batch bookkeeping for DrainAsyncIo.
-  void BeginAsyncBatch();
-  void EndAsyncBatch();
 
   /// Finds a victim frame via the clock algorithm, writing it back if
   /// dirty, and removes it from the page table. Returns FailedPrecondition
@@ -415,13 +374,6 @@ class BufferPool {
   std::atomic<uint64_t> eviction_scan_steps_{0};
   std::atomic<uint64_t> evictions_{0};
   PageObserver* observer_ = nullptr;
-  /// Outstanding asynchronously submitted device batches. kLeaf: taken
-  /// only with no other pool or device lock held (submitters bump it
-  /// before handing the batch to the device; completion callbacks
-  /// decrement it last, after all frame bookkeeping).
-  mutable Mutex async_mu_{LockRank::kLeaf, "pool.async_mu"};
-  CondVar async_cv_;
-  size_t async_inflight_ GUARDED_BY(async_mu_) = 0;
   std::atomic<uint32_t> read_ahead_window_{kDefaultReadAheadWindow};
 #ifndef NDEBUG
   std::atomic<bool> verify_checksums_{true};

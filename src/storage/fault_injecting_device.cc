@@ -11,6 +11,7 @@ Status CrashedStatus() {
 }  // namespace
 
 bool FaultInjectingDevice::ChargeOp(bool* torn) {
+  MutexLock lock(plan_->mu);
   *torn = false;
   if (plan_->crashed) return false;
   ++plan_->ops_seen;
@@ -24,7 +25,10 @@ bool FaultInjectingDevice::ChargeOp(bool* torn) {
 }
 
 Status FaultInjectingDevice::ReadPage(PageId page_id, void* buf) {
-  if (plan_->crashed) return CrashedStatus();
+  {
+    MutexLock lock(plan_->mu);
+    if (plan_->crashed) return CrashedStatus();
+  }
   return base_->ReadPage(page_id, buf);
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "common/annotated_mutex.h"
 #include "storage/storage_device.h"
 
 namespace fieldrep {
@@ -26,6 +27,10 @@ struct FaultPlan {
   bool crashed = false;
   /// Durable operations observed so far.
   uint64_t ops_seen = 0;
+  /// Serializes the devices' charges: a group-commit leader syncs the log
+  /// while another committer writes it, so two threads may charge at
+  /// once. Arm/Reset and direct field access are for quiesced tests.
+  Mutex mu{LockRank::kLeaf, "fault_plan.mu"};
 
   /// Arms a crash after `n` more durable operations.
   void Arm(uint64_t n, bool torn = false) {

@@ -195,6 +195,7 @@ Status FileDevice::AllocatePage(PageId* page_id) {
   if (!is_open()) return Status::FailedPrecondition("device not open");
   char zeros[kPageSize];
   std::memset(zeros, 0, sizeof(zeros));
+  MutexLock lock(alloc_mu_);
   PageId id = page_count();
   ssize_t n =
       ::pwrite(fd_, zeros, kPageSize, static_cast<off_t>(id) * kPageSize);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <string>
 
+#include "common/annotated_mutex.h"
 #include "storage/storage_device.h"
 
 namespace fieldrep {
@@ -48,8 +49,12 @@ class FileDevice : public StorageDevice {
 
  private:
   int fd_ = -1;
+  /// Serializes AllocatePage: writers on disjoint sets extend the file
+  /// concurrently, and each must claim its own page id. kDevice is a leaf
+  /// rank, as for MemoryDevice.
+  Mutex alloc_mu_{LockRank::kDevice, "file_device.alloc_mu"};
   /// Atomic: reader threads bounds-check against it (pread/pwrite are
-  /// themselves thread-safe) while the writer thread extends the file.
+  /// themselves thread-safe) while a writer extends the file.
   std::atomic<uint32_t> page_count_{0};
   std::string path_;
 };

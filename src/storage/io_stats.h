@@ -26,8 +26,6 @@ namespace fieldrep {
 ///   coalesced_writes pages written inside multi-page contiguous runs
 ///   bytes_read       bytes physically read from the device
 ///   bytes_written    bytes physically written to the device
-///   async_reads      pages whose physical read was submitted asynchronously
-///   async_writes     pages whose physical write was submitted asynchronously
 ///   read_ns          wall-clock nanoseconds in device reads
 ///   write_ns         wall-clock nanoseconds in device writes
 ///   sync_ns          wall-clock nanoseconds in device syncs
@@ -39,8 +37,6 @@ namespace fieldrep {
   X(disk_syncs)                     \
   X(batched_reads)                  \
   X(coalesced_writes)               \
-  X(async_reads)                    \
-  X(async_writes)                   \
   X(bytes_read)                     \
   X(bytes_written)                  \
   X(read_ns)                        \

@@ -53,17 +53,12 @@ struct PageBufferDeleter {
   }
 };
 
-/// A page-sized, page-aligned I/O buffer. Every buffer that a storage
-/// device may transfer directly (buffer-pool frames, elevator staging
-/// areas, device bounce buffers) uses this allocation so the O_DIRECT
-/// backend's alignment requirement (buffer, offset, and length all
-/// block-aligned; kPageSize alignment satisfies any block size) holds
-/// engine-wide without per-call-site checks.
+/// A page-sized, page-aligned I/O buffer: buffer-pool frames and elevator
+/// staging areas.
 using PageBuffer = std::unique_ptr<uint8_t[], PageBufferDeleter>;
 
 /// Allocates `pages` pages of kPageSize-aligned, zero-initialized memory.
-/// Zeroing matches the value-initialization the pool's frames had before
-/// they were aligned: a logically-empty page region must read as zeros
+/// The zeroing matters: a logically-empty page region must read as zeros
 /// (slot directories treat 0 as "no entry"), and frames are recycled into
 /// that role without an intervening device read.
 inline PageBuffer AllocatePageBuffer(size_t pages = 1) {

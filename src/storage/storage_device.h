@@ -2,9 +2,7 @@
 #define FIELDREP_STORAGE_STORAGE_DEVICE_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <vector>
 
 #include "common/status.h"
 #include "storage/page.h"
@@ -20,8 +18,14 @@ namespace fieldrep {
 /// file, for durability within a session and for exercising the same code
 /// path against the OS).
 ///
-/// Devices are not thread-safe; the engine is single-threaded by design,
-/// like the 1989 prototype it reproduces.
+/// Thread-safety contract the buffer pool relies on: worker threads issue
+/// concurrent reads and writes (a reader's miss may evict and write back
+/// a dirty victim), but never two concurrent transfers of the same page —
+/// the pool's single-flight in-flight markers serialize those. Writers on
+/// disjoint sets may call AllocatePage at the same time, each needing its
+/// own page id, and page_count() may be read at any moment. FileDevice
+/// meets this with positional pread/pwrite, an atomic page count and an
+/// allocation mutex; MemoryDevice with its internal mutex.
 class StorageDevice {
  public:
   virtual ~StorageDevice() = default;
@@ -57,47 +61,6 @@ class StorageDevice {
       FIELDREP_RETURN_IF_ERROR(WritePage(page_ids[i], bufs[i]));
     }
     return Status::OK();
-  }
-
-  /// Completion callback of the asynchronous batch operations: one Status
-  /// per page of the batch, in batch order. Invoked exactly once, possibly
-  /// on an internal device thread (never with device-internal locks held,
-  /// so the callback may call back into the engine).
-  using AsyncDone = std::function<void(std::span<const Status>)>;
-
-  /// True when this device completes the *Async operations after the
-  /// submitting call returns (a real asynchronous backend). The default
-  /// implementations below complete inline, so callers that need to know
-  /// whether a completion can be concurrent key off this.
-  virtual bool async_io() const { return false; }
-
-  /// Asynchronous vectored read: fills `bufs[i]` with page `page_ids[i]`
-  /// and invokes `done` once with per-page statuses when every page of
-  /// the batch has completed. The vectors are owned by the call (they
-  /// must stay valid until completion; passing by value makes that the
-  /// device's problem, not the caller's) — but the *buffers* they point
-  /// at are the caller's, and must outlive the completion.
-  ///
-  /// The default implementation completes synchronously through
-  /// ReadPages, so decorators (fault injection, corruption) keep their
-  /// per-page semantics on the async path too, and devices without a
-  /// native async engine are trivially correct. A batch-level error is
-  /// reported against every page (contents unspecified — install none).
-  virtual void ReadPagesAsync(std::vector<PageId> page_ids,
-                              std::vector<uint8_t*> bufs, AsyncDone done) {
-    Status s = ReadPages(page_ids, bufs);
-    std::vector<Status> statuses(page_ids.size(), s);
-    done(statuses);
-  }
-
-  /// Asynchronous vectored write; the mirror of ReadPagesAsync. Buffers
-  /// must stay valid and unmodified until `done` runs.
-  virtual void WritePagesAsync(std::vector<PageId> page_ids,
-                               std::vector<const uint8_t*> bufs,
-                               AsyncDone done) {
-    Status s = WritePages(page_ids, bufs);
-    std::vector<Status> statuses(page_ids.size(), s);
-    done(statuses);
   }
 
   /// Extends the device by one zeroed page and returns its id.

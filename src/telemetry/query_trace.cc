@@ -89,7 +89,7 @@ JsonValue QueryTrace::ToJson() const {
 StageTracer::StageTracer(QueryTrace* trace, BufferPool* pool)
     : trace_(trace), pool_(pool) {
   if (trace_ == nullptr) return;
-  query_start_ns_ = TelemetryNowNs();
+  query_start_ns_ = NowNs();
   query_start_io_ = PoolStats();
   stage_start_ns_ = query_start_ns_;
   stage_start_io_ = query_start_io_;
@@ -101,7 +101,7 @@ IoStats StageTracer::PoolStats() const {
 
 void StageTracer::EndStage(const std::string& name, uint64_t items) {
   if (trace_ == nullptr) return;
-  const uint64_t now = TelemetryNowNs();
+  const uint64_t now = NowNs();
   const IoStats io = PoolStats();
   QueryStageTrace stage;
   stage.name = name;
@@ -115,7 +115,7 @@ void StageTracer::EndStage(const std::string& name, uint64_t items) {
 
 void StageTracer::Finish() {
   if (trace_ == nullptr) return;
-  trace_->wall_ns = TelemetryNowNs() - query_start_ns_;
+  trace_->wall_ns = NowNs() - query_start_ns_;
   trace_->io = PoolStats() - query_start_io_;
 }
 

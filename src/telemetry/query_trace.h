@@ -1,25 +1,17 @@
 #ifndef FIELDREP_TELEMETRY_QUERY_TRACE_H_
 #define FIELDREP_TELEMETRY_QUERY_TRACE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/json.h"
 #include "storage/io_stats.h"
 
 namespace fieldrep {
 
 class BufferPool;
-
-/// Monotonic wall clock in nanoseconds (the engine's timing base).
-inline uint64_t TelemetryNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// One stage of a traced query: its wall time, the pool-level IoStats
 /// delta it caused, and how many items (OIDs, pending entries, rows) it

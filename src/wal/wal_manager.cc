@@ -1,21 +1,12 @@
 #include "wal/wal_manager.h"
 
-#include <chrono>
 #include <cstring>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/strings.h"
 
 namespace fieldrep {
-
-namespace {
-inline uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
 
 /// Thread-bound transaction state. `tls_prev` threads the (tiny) stack
 /// of managers the current thread holds transactions on — tests open

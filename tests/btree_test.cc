@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "common/random.h"
@@ -180,11 +181,15 @@ TEST_F(BTreeTest, MetadataRoundTrip) {
   EXPECT_EQ(out.size(), 1u);
 }
 
+// gtest prints this case as raw bytes and the ctest name is built from that
+// print, so the struct must have no padding: padding bytes are uninitialised
+// and would give the test a different name on every discovery run.
 struct BTreePropertyCase {
   uint64_t seed;
-  int operations;
+  int64_t operations;
   int64_t key_space;
 };
+static_assert(std::has_unique_object_representations_v<BTreePropertyCase>);
 
 class BTreePropertyTest : public ::testing::TestWithParam<BTreePropertyCase> {};
 
@@ -198,7 +203,7 @@ TEST_P(BTreePropertyTest, MatchesMultimap) {
   Random rng(param.seed);
   std::multimap<int64_t, uint64_t> shadow;
   std::set<std::pair<int64_t, uint64_t>> entries;
-  for (int step = 0; step < param.operations; ++step) {
+  for (int64_t step = 0; step < param.operations; ++step) {
     int64_t key = static_cast<int64_t>(rng.Uniform(param.key_space)) -
                   param.key_space / 2;
     uint64_t value = rng.Uniform(1u << 20);

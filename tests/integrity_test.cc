@@ -3,12 +3,12 @@
 // — and stays silent on healthy databases, including one that just went
 // through crash recovery.
 //
-// The database is opened over a CorruptingDevice so each test can reach
-// past the engine and damage the stored page images directly, the way
-// failing media would. Structural corruptions are re-stamped with a valid
-// page checksum afterwards, so they survive debug-build read verification
-// and must be caught by the structural invariant that actually covers
-// them; the checksum test omits the restamp.
+// The database is opened over a MemoryDevice that each test damages
+// directly through the page_corruption helpers, reaching past the engine
+// the way failing media would. Structural corruptions are re-stamped with
+// a valid page checksum afterwards, so they survive debug-build read
+// verification and must be caught by the structural invariant that
+// actually covers them; the checksum test omits the restamp.
 
 #include <cstdint>
 #include <memory>
@@ -18,10 +18,10 @@
 #include "check/check_report.h"
 #include "gtest/gtest.h"
 #include "replication/link_object.h"
-#include "storage/corrupting_device.h"
 #include "storage/fault_injecting_device.h"
 #include "storage/memory_device.h"
 #include "storage/page.h"
+#include "storage/page_corruption.h"
 #include "test_util.h"
 
 namespace fieldrep {
@@ -112,8 +112,7 @@ class IntegrityTest : public ::testing::Test {
     return false;
   }
 
-  MemoryDevice disk_;
-  CorruptingDevice dev_{&disk_};
+  MemoryDevice dev_;
   std::unique_ptr<Database> db_;
   std::vector<Oid> emps_;
 };
@@ -132,8 +131,8 @@ TEST_F(IntegrityTest, DetectsBadSlotDirectory) {
   // Slot 0's offset field lives at the start of the slot directory. Point
   // it at the last byte of the page so the cell runs off the end.
   const uint8_t bogus[2] = {0xFF, 0x0F};  // 4095, little-endian
-  FR_ASSERT_OK(dev_.OverwriteBytes(page, kPageHeaderBytes, bogus, 2));
-  FR_ASSERT_OK(dev_.RestampChecksum(page));
+  FR_ASSERT_OK(OverwriteBytes(&dev_, page, kPageHeaderBytes, bogus, 2));
+  FR_ASSERT_OK(RestampChecksum(&dev_, page));
 
   CheckReport report = Check();
   EXPECT_TRUE(HasFinding(report, CheckSeverity::kError, CheckLayer::kStorage,
@@ -150,8 +149,8 @@ TEST_F(IntegrityTest, DetectsBrokenBTreeOrder) {
   // after the 40-byte header with the 8-byte key first. Overwrite entry
   // 0's key with INT64_MAX so it orders after every real salary.
   const uint8_t huge[8] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F};
-  FR_ASSERT_OK(dev_.OverwriteBytes(root, kPageHeaderBytes, huge, 8));
-  FR_ASSERT_OK(dev_.RestampChecksum(root));
+  FR_ASSERT_OK(OverwriteBytes(&dev_, root, kPageHeaderBytes, huge, 8));
+  FR_ASSERT_OK(RestampChecksum(&dev_, root));
 
   CheckReport report = Check();
   bool index_error = false;
@@ -281,7 +280,7 @@ TEST_F(IntegrityTest, DetectsBadPageChecksum) {
   const PageId page = set.value()->file().first_page();
   // Flip one payload bit and deliberately do NOT restamp: the stored
   // checksum no longer matches.
-  FR_ASSERT_OK(dev_.CorruptByte(page, kPageSize - 100, 0x40));
+  FR_ASSERT_OK(CorruptByte(&dev_, page, kPageSize - 100, 0x40));
 
   CheckReport report = Check();
   EXPECT_TRUE(HasFinding(report, CheckSeverity::kError, CheckLayer::kStorage,

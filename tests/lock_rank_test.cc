@@ -95,29 +95,6 @@ TEST(LockRankTest, SameRankClassPermitsMultipleFrameLatches) {
   EXPECT_EQ(lock_rank::HeldCount(), kLockRankChecksEnabled ? 2u : 0u);
 }
 
-TEST(LockRankTest, RecursiveMutexReentersSameInstance) {
-  RecursiveMutex mu(LockRank::kLockTable, "test.recursive");
-  RecursiveMutexLock l1(mu);
-  {
-    RecursiveMutexLock l2(mu);  // the WAL precommit-hook pattern
-    EXPECT_EQ(lock_rank::HeldCount(), kLockRankChecksEnabled ? 2u : 0u);
-  }
-  EXPECT_EQ(lock_rank::HeldCount(), kLockRankChecksEnabled ? 1u : 0u);
-}
-
-TEST(LockRankDeathTest, RecursiveMutexStillChecksRankAgainstOthers) {
-  SKIP_IF_CHECKS_DISABLED();
-  // Reentrancy only excuses the same instance, not the rank order.
-  Mutex high(LockRank::kWalLog, "test.rec_high");
-  RecursiveMutex low(LockRank::kLockTable, "test.rec_low");
-  EXPECT_DEATH(
-      {
-        MutexLock l1(high);
-        RecursiveMutexLock l2(low);
-      },
-      "lock-rank violation.*test\\.rec_low.*test\\.rec_high");
-}
-
 TEST(LockRankTest, TryLockIsRecordedButNotOrderChecked) {
   SKIP_IF_CHECKS_DISABLED();
   // try_lock cannot block, so it cannot complete a deadlock cycle: a

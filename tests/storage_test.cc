@@ -1,7 +1,9 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -148,6 +150,37 @@ TEST(FileDeviceTest, ReadPastEofFailsCleanly) {
   // The failed read does not disturb the device.
   FR_ASSERT_OK(device.ReadPage(0, buf));
   EXPECT_EQ(device.page_count(), 1u);
+  FR_ASSERT_OK(device.Close());
+  std::remove(path.c_str());
+}
+
+TEST(FileDeviceTest, ConcurrentAllocationsGetDistinctPages) {
+  // Writers on disjoint sets extend the database file at the same time;
+  // two callers handed one page id would share (and corrupt) a page.
+  std::string path = ::testing::TempDir() + "/fieldrep_device_alloc_test.db";
+  std::remove(path.c_str());
+  FileDevice device;
+  FR_ASSERT_OK(device.Open(path));
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 500;
+  std::vector<std::vector<PageId>> ids(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&device, &ids, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        PageId id;
+        if (device.AllocatePage(&id).ok()) ids[t].push_back(id);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::set<PageId> distinct;
+  for (const std::vector<PageId>& per_thread : ids) {
+    EXPECT_EQ(per_thread.size(), static_cast<size_t>(kPerThread));
+    distinct.insert(per_thread.begin(), per_thread.end());
+  }
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kThreads * kPerThread));
+  EXPECT_EQ(device.page_count(), static_cast<uint32_t>(kThreads * kPerThread));
   FR_ASSERT_OK(device.Close());
   std::remove(path.c_str());
 }

@@ -329,102 +329,6 @@ TEST(WalCrashTest, CrashDuringCheckpointKeepsCommittedUpdate) {
   }
 }
 
-// --- Crash mid asynchronous write-back (DESIGN.md §15) ------------------------
-
-/// Marks a fault-injecting device as asynchronous, so the buffer pool
-/// takes its async write-back/prefetch paths (staging, submit-then-wait,
-/// completion-driven settling) while the inherited inline-completing
-/// default *Async implementations keep the plan's per-page crash
-/// semantics fully deterministic.
-class AsyncFaultShim : public StorageDevice {
- public:
-  explicit AsyncFaultShim(FaultInjectingDevice* inner) : inner_(inner) {}
-
-  bool async_io() const override { return true; }
-  Status ReadPage(PageId page_id, void* buf) override {
-    return inner_->ReadPage(page_id, buf);
-  }
-  Status WritePage(PageId page_id, const void* buf) override {
-    return inner_->WritePage(page_id, buf);
-  }
-  Status AllocatePage(PageId* page_id) override {
-    return inner_->AllocatePage(page_id);
-  }
-  Status Sync() override { return inner_->Sync(); }
-  uint32_t page_count() const override { return inner_->page_count(); }
-
- private:
-  FaultInjectingDevice* inner_;
-};
-
-TEST(WalCrashTest, CrashMidAsyncFlushRecoversClean) {
-  // A checkpoint over an asynchronous device submits its dirty-page runs
-  // through WritePagesAsync; a crash landing between two pages of a
-  // submitted run surfaces as per-page completion errors (frames stay
-  // dirty), and recovery from the WAL must still land on a consistent
-  // state with the committed update intact.
-  Scenario base_scenario = InPlaceScenario();
-  uint64_t ops;
-  {
-    CrashRig rig;
-    AsyncFaultShim shim(&rig.db_dev);
-    Scenario scenario = base_scenario;
-    Database::Options options;
-    options.buffer_pool_frames = 512;
-    options.device = &shim;
-    options.wal_device = &rig.log_dev;
-    options.enable_wal = true;
-    auto db_or = Database::Open(options);
-    ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
-    auto db = std::move(db_or).value();
-    std::vector<Oid> emps = BuildFixture(db.get(), &scenario);
-    ASSERT_FALSE(::testing::Test::HasFailure());
-    FR_ASSERT_OK(RunUpdate(db.get(), scenario));
-    uint64_t before = rig.plan.ops_seen;
-    FR_ASSERT_OK(db->Checkpoint());
-    ops = rig.plan.ops_seen - before;
-    ASSERT_GT(ops, 0u);
-  }
-  for (uint64_t k = 1; k <= ops + 2; k += 2) {
-    for (bool torn : {false, true}) {
-      SCOPED_TRACE(StringPrintf("async-flush crash after %d ops%s",
-                                static_cast<int>(k), torn ? " (torn)" : ""));
-      CrashRig rig;
-      AsyncFaultShim shim(&rig.db_dev);
-      Scenario scenario = base_scenario;
-      std::vector<Oid> emps;
-      {
-        Database::Options options;
-        options.buffer_pool_frames = 512;
-        options.device = &shim;
-        options.wal_device = &rig.log_dev;
-        options.enable_wal = true;
-        auto db_or = Database::Open(options);
-        ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
-        auto db = std::move(db_or).value();
-        emps = BuildFixture(db.get(), &scenario);
-        ASSERT_FALSE(::testing::Test::HasFailure());
-        FR_ASSERT_OK(RunUpdate(db.get(), scenario));
-        rig.plan.Arm(k, torn);
-        (void)db->Checkpoint();  // may trip anywhere inside the async flush
-      }
-      rig.plan.Reset();  // reboot
-
-      Database::Options options;
-      options.buffer_pool_frames = 512;
-      options.device = &shim;
-      options.wal_device = &rig.log_dev;
-      options.enable_wal = true;
-      auto db_or = Database::Open(options);
-      ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
-      auto db = std::move(db_or).value();
-      CheckRecoveredState(db.get(), scenario, emps,
-                          /*update_reported_ok=*/true);
-      ::fieldrep::testing::ExpectCleanIntegrity(db.get());
-    }
-  }
-}
-
 // --- Interleaved transactions (per-set 2PL, DESIGN.md §14) --------------------
 
 /// Crash with two write transactions interleaved in the log: txn1

@@ -1,6 +1,7 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -247,6 +248,31 @@ Result<MeasuredCosts> MeasureQueryCosts(ModelWorkload* workload, double fr,
   costs.batched_reads /= trials;
   costs.coalesced_writes /= trials;
   return costs;
+}
+
+Zipfian::Zipfian(uint64_t n, double theta) : n_(n) {
+  for (uint64_t i = 1; i <= n; ++i) zetan_ += 1.0 / std::pow(i, theta);
+  zeta2_ = 1.0 + 1.0 / std::pow(2.0, theta);
+  alpha_ = 1.0 / (1.0 - theta);
+  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+         (1.0 - zeta2_ / zetan_);
+}
+
+uint64_t Zipfian::Next(Random* rng) const {
+  double u = rng->NextDouble();
+  double uz = u * zetan_;
+  if (uz < 1.0) return 0;
+  if (uz < zeta2_) return 1;
+  return static_cast<uint64_t>(static_cast<double>(n_) *
+                               std::pow(eta_ * u - eta_ + 1.0, alpha_));
+}
+
+double Percentile(std::vector<uint64_t>* ns, double p) {
+  if (ns->empty()) return 0;
+  size_t idx = static_cast<size_t>(p * static_cast<double>(ns->size() - 1));
+  std::nth_element(ns->begin(), ns->begin() + static_cast<long>(idx),
+                   ns->end());
+  return static_cast<double>((*ns)[idx]) / 1e3;  // microseconds
 }
 
 std::string Cell(double ours, double paper) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "costmodel/cost_model.h"
 #include "db/database.h"
 
@@ -125,6 +126,26 @@ class BenchJson {
   std::vector<std::pair<std::string, double>> metrics_;
   std::string telemetry_json_;
 };
+
+/// Gray et al. style zipfian generator: O(n) zeta precompute once, O(1)
+/// per sample. theta in (0, 1); larger = more skew. Item 0 is hottest.
+class Zipfian {
+ public:
+  Zipfian(uint64_t n, double theta);
+
+  uint64_t Next(Random* rng) const;
+
+ private:
+  uint64_t n_;
+  double zetan_ = 0;
+  double zeta2_ = 0;
+  double alpha_ = 0;
+  double eta_ = 0;
+};
+
+/// The p-quantile (p in [0, 1]) of nanosecond samples, in microseconds;
+/// 0 when there are none. Reorders `ns`.
+double Percentile(std::vector<uint64_t>* ns, double p);
 
 /// Recognizes `--json` / `--json=PATH` anywhere in argv and removes it
 /// (so positional-argument parsing stays untouched). Returns the output

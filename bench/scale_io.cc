@@ -7,8 +7,9 @@
 // batch misses, so the device sees deep multi-page read batches
 // (window > 1) and contiguous write-back runs.
 //
-// Read latency covers the I/O a read causes: each batch's prefetch time
-// is charged to the batch's first read sample.
+// Latency covers the I/O an operation causes: each read batch's prefetch
+// time is charged to the batch's first read sample, and the update
+// phase's closing FlushAll to the last update sample.
 //
 // The *logical* I/O counters in the JSON (fetches/hits/disk_reads/
 // disk_writes) are deterministic for a given preset + seed and identical
@@ -22,7 +23,6 @@
 // --updates=N, --json[=PATH].
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,37 +37,6 @@
 namespace fieldrep::bench {
 namespace {
 
-/// Gray et al. style zipfian generator: O(n) zeta precompute once, O(1)
-/// per sample. theta in (0, 1); larger = more skew. Item 0 is hottest.
-class Zipfian {
- public:
-  Zipfian(uint64_t n, double theta) : n_(n), theta_(theta) {
-    for (uint64_t i = 1; i <= n; ++i) zetan_ += 1.0 / std::pow(i, theta);
-    zeta2_ = 1.0 + 1.0 / std::pow(2.0, theta);
-    alpha_ = 1.0 / (1.0 - theta);
-    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-           (1.0 - zeta2_ / zetan_);
-  }
-
-  uint64_t Next(Random* rng) const {
-    double u = rng->NextDouble();
-    double uz = u * zetan_;
-    if (uz < 1.0) return 0;
-    if (uz < zeta2_) return 1;
-    return static_cast<uint64_t>(
-        static_cast<double>(n_) *
-        std::pow(eta_ * u - eta_ + 1.0, alpha_));
-  }
-
- private:
-  uint64_t n_;
-  double theta_;
-  double zetan_ = 0;
-  double zeta2_ = 0;
-  double alpha_ = 0;
-  double eta_ = 0;
-};
-
 struct Preset {
   const char* name;
   uint32_t s_count;     ///< |S|; |R| = f * |S|
@@ -81,14 +50,6 @@ constexpr Preset kPresets[] = {
     {"default", 50000, 5, 20000, 2000},
     {"full", 2000000, 5, 200000, 20000},  // 10M+ objects
 };
-
-double Percentile(std::vector<uint64_t>* ns, double p) {
-  if (ns->empty()) return 0;
-  size_t idx = static_cast<size_t>(p * static_cast<double>(ns->size() - 1));
-  std::nth_element(ns->begin(), ns->begin() + static_cast<long>(idx),
-                   ns->end());
-  return static_cast<double>((*ns)[idx]) / 1e3;  // microseconds
-}
 
 const Preset* FindPreset(const char* name) {
   for (const Preset& p : kPresets) {
@@ -266,7 +227,11 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
         return 1;
       }
     }
+    // The updates' page write-back happens here, so its time is charged
+    // to the last update sample: the percentiles cover the I/O.
+    uint64_t flush_start = NowNs();
     Status flush = db.pool().FlushAll();
+    if (!lat.empty()) lat.back() += NowNs() - flush_start;
     if (!flush.ok()) {
       std::printf("flush failed: %s\n", flush.ToString().c_str());
       return 1;

@@ -172,8 +172,9 @@ class Database : public SetProvider {
   /// log is synced.
   Status CommitSessionTransaction(uint64_t* commit_lsn = nullptr);
   /// Aborts the transaction attached to this thread and releases its
-  /// locks. Redo-only logging keeps the partial in-memory effects (they
-  /// are never logged, so crash recovery discards them).
+  /// locks. Redo-only logging keeps the partial in-memory effects: they
+  /// are never logged, but once a checkpoint or an eviction writes their
+  /// pages back they survive a restart (DESIGN.md §7).
   Status AbortSessionTransaction();
   /// Whether any explicit session transaction is open, on any thread.
   bool InSessionTransaction() const;

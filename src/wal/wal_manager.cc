@@ -1,6 +1,7 @@
 #include "wal/wal_manager.h"
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/clock.h"
@@ -15,15 +16,52 @@ namespace fieldrep {
 struct WalTxn {
   WalManager* mgr = nullptr;
   int depth = 0;
-  /// Pre-images of pages first accessed inside the transaction.
-  std::unordered_map<PageId, std::string> snapshots;
+  /// Pre-images of pages first accessed inside the transaction; each
+  /// points into one of `buffers`.
+  std::unordered_map<PageId, const uint8_t*> snapshots;
   /// Pages this transaction dirtied (ordered: deterministic log layout).
   std::set<PageId> dirty;
   WalTxn* tls_prev = nullptr;
+  /// Page-sized snapshot buffers; the first `buffers_used` hold the
+  /// snapshots. Kept across transactions by the thread's spare.
+  std::vector<std::unique_ptr<uint8_t[]>> buffers;
+  size_t buffers_used = 0;
+
+  /// Copies `data` into a free buffer and returns the copy.
+  const uint8_t* Snapshot(const uint8_t* data) {
+    if (buffers_used == buffers.size()) {
+      buffers.push_back(std::make_unique_for_overwrite<uint8_t[]>(kPageSize));
+    }
+    uint8_t* buf = buffers[buffers_used++].get();
+    std::memcpy(buf, data, kPageSize);
+    return buf;
+  }
+
+  /// Empties the transaction for reuse. A large one (a bulk load) gives
+  /// back all but kSpareBuffers of its buffers and its map's buckets.
+  void Clear() {
+    mgr = nullptr;
+    depth = 0;
+    dirty.clear();
+    tls_prev = nullptr;
+    buffers_used = 0;
+    if (buffers.size() > kSpareBuffers) {
+      buffers.resize(kSpareBuffers);
+      snapshots = {};
+    } else {
+      snapshots.clear();
+    }
+  }
+
+  /// Snapshot buffers a finished transaction keeps for its thread's next
+  /// one: 256 KiB, several times an update's working set.
+  static constexpr size_t kSpareBuffers = 64;
 };
 
 namespace {
 thread_local WalTxn* tls_txn_head = nullptr;
+/// The thread's last finished transaction, kept for its buffers.
+thread_local std::unique_ptr<WalTxn> tls_spare_txn;
 
 void TlsPush(WalTxn* t) {
   t->tls_prev = tls_txn_head;
@@ -37,6 +75,37 @@ void TlsUnlink(WalTxn* t) {
     *p = t->tls_prev;
     t->tls_prev = nullptr;
   }
+}
+
+constexpr uint32_t kDiffBlock = 64;
+static_assert(kPageSize % kDiffBlock == 0);
+
+/// The changed byte range [*first, *last) of `cur` against `old`, exactly
+/// as a byte-by-byte scan from each end finds it; *first == kPageSize
+/// when the pages are identical. Whole blocks are skipped with memcmp, so
+/// an unchanged page costs one vectorized pass.
+void ChangedRange(const uint8_t* old, const uint8_t* cur, uint32_t* first,
+                  uint32_t* last) {
+  uint32_t f = 0;
+  while (f < kPageSize && std::memcmp(old + f, cur + f, kDiffBlock) == 0) {
+    f += kDiffBlock;
+  }
+  if (f == kPageSize) {
+    *first = kPageSize;
+    return;
+  }
+  while (old[f] == cur[f]) ++f;  // Stops inside the differing block.
+  // From the back, whole blocks only while they start past byte f (which
+  // differs), so the scan never crosses it.
+  uint32_t l = kPageSize;
+  while (l - kDiffBlock > f &&
+         std::memcmp(old + l - kDiffBlock, cur + l - kDiffBlock,
+                     kDiffBlock) == 0) {
+    l -= kDiffBlock;
+  }
+  while (old[l - 1] == cur[l - 1]) --l;
+  *first = f;
+  *last = l;
 }
 }  // namespace
 
@@ -88,7 +157,11 @@ Status WalManager::BeginTransaction() {
     ++t->depth;
     return Status::OK();
   }
-  t = new WalTxn;
+  if (tls_spare_txn != nullptr) {
+    t = tls_spare_txn.release();
+  } else {
+    t = new WalTxn;
+  }
   t->mgr = this;
   t->depth = 1;
   TlsPush(t);
@@ -117,7 +190,13 @@ void WalManager::FinishTxn(WalTxn* txn, bool keep_protected) {
     }
   }
   TlsUnlink(txn);
-  delete txn;
+  txn->Clear();
+  // The thread keeps one spare; a second (nested managers) is freed.
+  if (tls_spare_txn == nullptr) {
+    tls_spare_txn.reset(txn);
+  } else {
+    delete txn;
+  }
   active_txns_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
@@ -148,9 +227,9 @@ Status WalManager::AbortTransaction() {
   }
   if (--t->depth > 0) return Status::OK();
   // Redo-only log: the in-memory partial effects stay (exactly the
-  // pre-WAL failure behaviour), but none of them were logged, so a
-  // crash-and-recover still lands on the last committed state. Once
-  // broken, the protection set stays frozen.
+  // pre-WAL failure behaviour) and are never logged, but dropping the
+  // protections lets a later write-back persist them. Once broken, the
+  // protection set stays frozen.
   FinishTxn(t, /*keep_protected=*/broken());
   return Status::OK();
 }
@@ -197,18 +276,16 @@ Status WalManager::CommitTopLevel(WalTxn* txn, uint64_t* commit_lsn) {
     }
     auto snap_it = txn->snapshots.find(page_id);
     if (snap_it == txn->snapshots.end()) {
-      // Page was never observed before the first write (freshly allocated
-      // inside the transaction): log the whole page.
+      // No pre-image: the page's exclusive guard predates the transaction
+      // (a page allocated inside it has the zero page as its pre-image).
+      // Log the whole page.
       deltas.push_back(Delta{page_id, 0, cur, kPageSize});
       continue;
     }
-    const uint8_t* old =
-        reinterpret_cast<const uint8_t*>(snap_it->second.data());
     uint32_t first = 0;
-    while (first < kPageSize && cur[first] == old[first]) ++first;
+    uint32_t last = 0;
+    ChangedRange(snap_it->second, cur, &first, &last);
     if (first == kPageSize) continue;  // Dirtied but byte-identical.
-    uint32_t last = kPageSize;
-    while (last > first && cur[last - 1] == old[last - 1]) --last;
     deltas.push_back(Delta{page_id, first, cur + first, last - first});
   }
 
@@ -458,13 +535,11 @@ void WalManager::OnPageAccess(PageId page_id, const uint8_t* data) {
   // maintenance paths that bypass transactions entirely).
   WalTxn* t = CurrentTxn();
   if (t == nullptr || broken()) return;
-  if (t->snapshots.count(page_id) != 0) return;
   // Only pages the transaction later dirties need their pre-image, but
-  // we cannot know which those are yet; the map dies with the
-  // transaction so the cost is bounded by its working set.
-  t->snapshots.emplace(page_id,
-                       std::string(reinterpret_cast<const char*>(data),
-                                   kPageSize));
+  // we cannot know which those are yet; the buffers are reused, so the
+  // cost is one page copy per page of the working set.
+  auto [it, inserted] = t->snapshots.try_emplace(page_id, nullptr);
+  if (inserted) it->second = t->Snapshot(data);
 }
 
 void WalManager::OnPageDirtied(PageId page_id) {

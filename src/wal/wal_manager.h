@@ -47,19 +47,20 @@ struct WalTxn;
 /// inside a transaction bracket. While the transaction is open the
 /// manager, hooked into the BufferPool as its PageObserver,
 ///
-///   - snapshots each page's pre-image on first access,
+///   - snapshots each page's pre-image on first exclusive access (into
+///     page buffers the thread reuses from one transaction to the next),
 ///   - tracks the set of pages the mutation dirtied, and
 ///   - vetoes eviction of those pages (no-steal: uncommitted bytes never
 ///     reach the device).
 ///
 /// At commit it writes a Begin record, one physiological redo record per
-/// changed byte range (computed by diffing each dirtied page against its
-/// snapshot), and a Commit record, then (by default) syncs the log. Only
-/// after the log is durable may the pages themselves be flushed — the
-/// flush-ordering invariant, enforced through BeforePageFlush and the
-/// per-frame page LSN. Recovery replays exactly the committed
-/// transactions, so a crash anywhere inside a propagation yields either
-/// the fully-old or fully-new replica state.
+/// changed page (its first through last changed byte, found by a block
+/// compare of the page against its snapshot), and a Commit record, then
+/// (by default) syncs the log. Only after the log is durable may the
+/// pages themselves be flushed — the flush-ordering invariant, enforced
+/// through BeforePageFlush and the per-frame page LSN. Recovery replays
+/// exactly the committed transactions, so a crash anywhere inside a
+/// propagation yields either the fully-old or fully-new replica state.
 ///
 /// Checkpointing is driven by the pool's dirty-frame table: flush the
 /// dirty pages (their log records are already durable), sync the
@@ -134,8 +135,10 @@ class WalManager : public PageObserver {
   Status CommitTransaction(uint64_t* commit_lsn = nullptr);
   /// Discards the transaction bracket. Redo-only logging has no undo:
   /// in-memory partial effects of a failed mutation remain (as before
-  /// this subsystem existed); the log simply never commits them, so a
-  /// crash still recovers to the last committed state.
+  /// this subsystem existed) and are never logged. Their pages stay dirty
+  /// in the pool, so a checkpoint or an eviction can write them to the
+  /// device, after which they survive a restart; only a crash before
+  /// such a write-back discards them.
   Status AbortTransaction();
   /// Whether the *current thread* has an open transaction on this
   /// manager.
@@ -236,8 +239,9 @@ class WalManager : public PageObserver {
   WalTxn* CurrentTxn() const;
   Status CommitTopLevel(WalTxn* txn, uint64_t* commit_lsn);
   /// Drops `txn`'s no-steal protections (skipped once broken: the
-  /// protection set is frozen so unloggable bytes stay off the device)
-  /// and frees it.
+  /// protection set is frozen so unloggable bytes stay off the device),
+  /// then clears it and keeps it as the finishing thread's spare, whose
+  /// snapshot buffers the thread's next BeginTransaction reuses.
   void FinishTxn(WalTxn* txn, bool keep_protected);
   Status CheckpointImpl();
 

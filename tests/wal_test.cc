@@ -1,7 +1,11 @@
 #include <cstring>
+#include <functional>
+#include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "storage/buffer_pool.h"
 #include "storage/fault_injecting_device.h"
 #include "storage/memory_device.h"
 #include "test_util.h"
@@ -333,6 +337,271 @@ TEST(FaultInjectingDeviceTest, TornWritePersistsFirstHalfOnly) {
   EXPECT_EQ(got[kPageSize / 2 - 1], 0xBB);
   EXPECT_EQ(got[kPageSize / 2], 0xAA);      // second half: old bytes
   EXPECT_EQ(got[kPageSize - 1], 0xAA);
+}
+
+// ---------------------------------------------------------------------------
+// Commit deltas
+// ---------------------------------------------------------------------------
+
+struct LoggedDelta {
+  PageId page_id;
+  uint32_t offset;
+  std::string bytes;
+  bool operator==(const LoggedDelta&) const = default;
+};
+
+void PrintTo(const LoggedDelta& d, std::ostream* os) {
+  *os << "{page " << d.page_id << ", offset " << d.offset << ", "
+      << d.bytes.size() << " bytes}";
+}
+
+/// The delta a byte-by-byte scan from both ends of the page finds; none
+/// when the two images are equal.
+void ReferenceDelta(PageId page_id, const uint8_t* before,
+                    const uint8_t* after, std::vector<LoggedDelta>* out) {
+  uint32_t first = 0;
+  while (first < kPageSize && before[first] == after[first]) ++first;
+  if (first == kPageSize) return;
+  uint32_t last = kPageSize;
+  while (before[last - 1] == after[last - 1]) --last;
+  out->push_back(LoggedDelta{
+      page_id, first,
+      std::string(reinterpret_cast<const char*>(after) + first,
+                  last - first)});
+}
+
+/// Drives a WalManager directly over a MemoryDevice pool and reads its
+/// log back, so every logged page write can be checked against the
+/// reference diff of the page's pre-image and its committed bytes.
+class WalDeltaTest : public ::testing::Test {
+ protected:
+  static constexpr PageId kPages = 80;  // More than a spare keeps buffers.
+
+  void SetUp() override {
+    pool_.SetObserver(&wal_);
+    FR_ASSERT_OK(wal_.Initialize(1));
+    // Distinct bytes on every page, written outside any transaction (so
+    // not logged).
+    for (PageId i = 0; i < kPages; ++i) {
+      PageGuard guard;
+      FR_ASSERT_OK(pool_.NewPage(&guard));
+      ASSERT_EQ(guard.page_id(), i);
+      for (uint32_t b = 0; b < kPageSize; ++b) {
+        guard.data()[b] = static_cast<uint8_t>(b * 131 + i * 7 + 1);
+      }
+      guard.MarkDirty();
+    }
+  }
+
+  void TearDown() override { pool_.SetObserver(nullptr); }
+
+  /// Applies `mutate` to page `page_id` through an exclusive guard of the
+  /// open transaction, remembering the page's bytes before its first edit.
+  void Edit(PageId page_id, const std::function<void(uint8_t*)>& mutate) {
+    PageGuard guard;
+    FR_ASSERT_OK(pool_.FetchPage(page_id, &guard));
+    pre_images_.try_emplace(page_id, guard.data(), guard.data() + kPageSize);
+    mutate(guard.data());
+    guard.MarkDirty();
+  }
+
+  /// Commits the open transaction. `logged` receives the page writes it
+  /// appended, `expected` the reference diff of every edited page.
+  void Commit(std::vector<LoggedDelta>* logged,
+              std::vector<LoggedDelta>* expected) {
+    for (const auto& [page_id, before] : pre_images_) {
+      ReferenceDelta(page_id, before.data(), pool_.PeekPage(page_id),
+                     expected);
+    }
+    pre_images_.clear();
+    FR_ASSERT_OK(wal_.CommitTransaction());
+    ReadNewDeltas(logged);
+  }
+
+  /// The page-write records appended since the last call.
+  void ReadNewDeltas(std::vector<LoggedDelta>* out) {
+    LogReader reader(&log_);
+    bool valid = false;
+    FR_ASSERT_OK(reader.Open(&valid));
+    ASSERT_TRUE(valid);
+    size_t index = 0;
+    for (;;) {
+      LogRecord rec;
+      bool end = false;
+      FR_ASSERT_OK(reader.ReadNext(&rec, &end));
+      if (end) break;
+      if (rec.type != LogRecordType::kPageWrite) continue;
+      if (index++ < deltas_read_) continue;
+      out->push_back(LoggedDelta{rec.page_id, rec.offset, rec.bytes});
+    }
+    deltas_read_ = index;
+  }
+
+  /// One transaction that flips the byte at `offset` of `page_id`.
+  void CommitFlip(PageId page_id, uint32_t offset,
+                  std::vector<LoggedDelta>* logged,
+                  std::vector<LoggedDelta>* expected) {
+    FR_ASSERT_OK(wal_.BeginTransaction());
+    Edit(page_id, [offset](uint8_t* p) { p[offset] ^= 0xFF; });
+    Commit(logged, expected);
+  }
+
+  MemoryDevice disk_;
+  MemoryDevice log_;
+  BufferPool pool_{&disk_, 128};
+  WalManager wal_{&log_, &pool_, WalManager::Options{}};
+  std::map<PageId, std::vector<uint8_t>> pre_images_;
+  size_t deltas_read_ = 0;
+};
+
+TEST_F(WalDeltaTest, SingleByteChangesAtBlockEdgesLogOneByte) {
+  for (uint32_t offset : {0u, 63u, 64u, 65u, 4031u, 4095u}) {
+    SCOPED_TRACE(offset);
+    std::vector<LoggedDelta> logged, expected;
+    CommitFlip(3, offset, &logged, &expected);
+    EXPECT_EQ(logged, expected);
+    ASSERT_EQ(logged.size(), 1u);
+    EXPECT_EQ(logged[0].page_id, 3u);
+    EXPECT_EQ(logged[0].offset, offset);
+    EXPECT_EQ(logged[0].bytes.size(), 1u);
+  }
+}
+
+TEST_F(WalDeltaTest, ChangesInTwoBlocksLogTheRangeBetweenThem) {
+  FR_ASSERT_OK(wal_.BeginTransaction());
+  Edit(5, [](uint8_t* p) {
+    p[100] ^= 0x01;
+    p[3000] ^= 0x80;
+  });
+  std::vector<LoggedDelta> logged, expected;
+  Commit(&logged, &expected);
+  EXPECT_EQ(logged, expected);
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_EQ(logged[0].offset, 100u);
+  EXPECT_EQ(logged[0].bytes.size(), 2901u);
+}
+
+TEST_F(WalDeltaTest, FullPageChangeLogsTheWholePage) {
+  FR_ASSERT_OK(wal_.BeginTransaction());
+  Edit(7, [](uint8_t* p) {
+    for (uint32_t b = 0; b < kPageSize; ++b) p[b] = ~p[b];
+  });
+  std::vector<LoggedDelta> logged, expected;
+  Commit(&logged, &expected);
+  EXPECT_EQ(logged, expected);
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_EQ(logged[0].offset, 0u);
+  EXPECT_EQ(logged[0].bytes.size(), kPageSize);
+}
+
+TEST_F(WalDeltaTest, ByteIdenticalDirtyPageLogsNothing) {
+  const WalStats before = wal_.stats();
+  FR_ASSERT_OK(wal_.BeginTransaction());
+  Edit(9, [](uint8_t* p) {
+    p[17] ^= 0xFF;
+    p[17] ^= 0xFF;
+  });
+  std::vector<LoggedDelta> logged, expected;
+  Commit(&logged, &expected);
+  EXPECT_TRUE(expected.empty());
+  EXPECT_TRUE(logged.empty());
+  const WalStats after = wal_.stats();
+  EXPECT_EQ(after.records, before.records);
+  EXPECT_EQ(after.empty_commits, before.empty_commits + 1);
+}
+
+TEST_F(WalDeltaTest, PageAllocatedInTransactionLogsItsWrittenBytes) {
+  // A new page's pre-image is the zero page: filling it logs all of it,
+  // and a page written only in its middle logs just that range.
+  FR_ASSERT_OK(wal_.BeginTransaction());
+  PageGuard full;
+  FR_ASSERT_OK(pool_.NewPage(&full));
+  std::memset(full.data(), 0x5A, kPageSize);
+  full.MarkDirty();
+  const PageId full_id = full.page_id();
+  full.Release();
+  PageGuard partial;
+  FR_ASSERT_OK(pool_.NewPage(&partial));
+  std::memset(partial.data() + 1000, 0x33, 24);
+  partial.MarkDirty();
+  const PageId partial_id = partial.page_id();
+  partial.Release();
+  FR_ASSERT_OK(wal_.CommitTransaction());
+
+  std::vector<LoggedDelta> logged;
+  ReadNewDeltas(&logged);
+  const std::vector<LoggedDelta> expected = {
+      {full_id, 0, std::string(kPageSize, '\x5A')},
+      {partial_id, 1000, std::string(24, '\x33')}};
+  EXPECT_EQ(logged, expected);
+}
+
+TEST_F(WalDeltaTest, PageLatchedBeforeBeginLogsTheWholePage) {
+  // No pre-image was taken inside the transaction, so the commit cannot
+  // diff the page and logs all of it.
+  PageGuard guard;
+  FR_ASSERT_OK(pool_.FetchPage(11, &guard));
+  FR_ASSERT_OK(wal_.BeginTransaction());
+  guard.data()[42] ^= 0xFF;
+  guard.MarkDirty();
+  const std::string image(reinterpret_cast<const char*>(guard.data()),
+                          kPageSize);
+  guard.Release();
+  FR_ASSERT_OK(wal_.CommitTransaction());
+
+  std::vector<LoggedDelta> logged;
+  ReadNewDeltas(&logged);
+  const std::vector<LoggedDelta> expected = {{11, 0, image}};
+  EXPECT_EQ(logged, expected);
+}
+
+TEST_F(WalDeltaTest, ReusedTransactionDiffsAgainstItsOwnPreImage) {
+  std::vector<LoggedDelta> logged, expected;
+  CommitFlip(3, 10, &logged, &expected);
+  EXPECT_EQ(logged, expected);
+
+  // An aborted transaction between the two commits: its bytes stay in the
+  // pool (redo-only, no undo) but its snapshots and write set must not.
+  FR_ASSERT_OK(wal_.BeginTransaction());
+  Edit(3, [](uint8_t* p) { p[2000] ^= 0xFF; });
+  Edit(4, [](uint8_t* p) { p[0] ^= 0xFF; });
+  pre_images_.clear();
+  FR_ASSERT_OK(wal_.AbortTransaction());
+  EXPECT_EQ(wal_.active_transactions(), 0);
+  EXPECT_TRUE(wal_.CanEvict(3));
+  EXPECT_TRUE(wal_.CanEvict(4));
+
+  // The second commit's pre-image of page 3 holds both earlier changes,
+  // so only its own byte is logged, and page 4 is not logged at all.
+  logged.clear();
+  expected.clear();
+  CommitFlip(3, 500, &logged, &expected);
+  EXPECT_EQ(logged, expected);
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_EQ(logged[0].page_id, 3u);
+  EXPECT_EQ(logged[0].offset, 500u);
+  EXPECT_EQ(logged[0].bytes.size(), 1u);
+}
+
+TEST_F(WalDeltaTest, TransactionAfterALargeOneDiffsCorrectly) {
+  // Touches more pages than a finished transaction keeps buffers for.
+  FR_ASSERT_OK(wal_.BeginTransaction());
+  for (PageId i = 0; i < kPages; ++i) {
+    Edit(i, [i](uint8_t* p) { p[(i * 97) % kPageSize] ^= 0xFF; });
+  }
+  std::vector<LoggedDelta> logged, expected;
+  Commit(&logged, &expected);
+  EXPECT_EQ(logged.size(), static_cast<size_t>(kPages));
+  EXPECT_EQ(logged, expected);
+
+  logged.clear();
+  expected.clear();
+  FR_ASSERT_OK(wal_.BeginTransaction());
+  Edit(70, [](uint8_t* p) { p[4095] ^= 0xFF; });
+  Edit(2, [](uint8_t* p) { std::memset(p + 64, 0, 128); });
+  Commit(&logged, &expected);
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_EQ(logged, expected);
 }
 
 // ---------------------------------------------------------------------------

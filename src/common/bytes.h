@@ -74,6 +74,8 @@ class ByteReader {
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
   explicit ByteReader(const std::string& s)
       : data_(reinterpret_cast<const uint8_t*>(s.data())), size_(s.size()) {}
+  /// The reader borrows its bytes, so it must not outlive a temporary.
+  explicit ByteReader(std::string&&) = delete;
 
   bool GetU16(uint16_t* v);
   bool GetU32(uint32_t* v);

@@ -183,39 +183,17 @@ Result<Value> Executor::EvaluateColumn(const ColumnPlan& plan,
       return head.field(plan.attr_index);
     case ColumnPlan::Kind::kReplica: {
       if (plan.path->strategy == ReplicationStrategy::kInPlace) {
-        const ReplicaValueSlot* slot = head.FindReplicaValues(plan.path->id);
-        if (slot == nullptr ||
-            plan.replica_pos >= static_cast<int>(slot->values.size())) {
-          return Value::Null();
-        }
-        return slot->values[plan.replica_pos];
+        const Value* v = plan.InPlaceValue(head);
+        return v != nullptr ? *v : Value::Null();
       }
       const ReplicaRefSlot* slot = head.FindReplicaRef(plan.path->id);
       if (slot == nullptr) return Value::Null();
       FIELDREP_ASSIGN_OR_RETURN(
           RecordFile * file, sets_->GetAuxFile(plan.path->replica_set_file));
-      std::string payload;
-      FIELDREP_RETURN_IF_ERROR(file->Read(slot->replica_oid, &payload));
-      ReplicaRecord record;
-      FIELDREP_RETURN_IF_ERROR(record.Deserialize(payload));
-      if (plan.replica_pos >= static_cast<int>(record.values.size())) {
-        return Value::Null();
-      }
-      return record.values[plan.replica_pos];
+      return ReadReplicaValue(file, slot->replica_oid, plan.replica_pos);
     }
     case ColumnPlan::Kind::kJoin: {
-      Oid current;
-      if (plan.path != nullptr) {
-        const ReplicaValueSlot* slot = head.FindReplicaValues(plan.path->id);
-        if (slot != nullptr &&
-            plan.replica_pos < static_cast<int>(slot->values.size()) &&
-            slot->values[plan.replica_pos].is_ref()) {
-          current = slot->values[plan.replica_pos].as_ref();
-        }
-      } else {
-        const Value& v = head.field(plan.start_attr);
-        if (v.is_ref()) current = v.as_ref();
-      }
+      Oid current = plan.JoinStart(head);
       Value value = Value::Null();
       for (size_t hop = 0; hop < plan.hop_attrs.size(); ++hop) {
         if (!current.valid()) return Value::Null();
@@ -232,6 +210,16 @@ Result<Value> Executor::EvaluateColumn(const ColumnPlan& plan,
     }
   }
   return Status::Internal("unreachable");
+}
+
+Result<Value> Executor::ReadReplicaValue(RecordFile* file, const Oid& oid,
+                                         int pos) {
+  std::string payload;
+  FIELDREP_RETURN_IF_ERROR(file->Read(oid, &payload));
+  ReplicaRecord record;
+  FIELDREP_RETURN_IF_ERROR(record.Deserialize(payload));
+  if (pos >= static_cast<int>(record.values.size())) return Value::Null();
+  return std::move(record.values[pos]);
 }
 
 Status Executor::FlushDeferredForPlan(const ColumnPlan& plan) {

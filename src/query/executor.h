@@ -36,15 +36,16 @@ class WorkloadProfiler;
 /// Updates locate target objects the same way and route every assignment
 /// through the ReplicationManager so replicated data stays consistent.
 ///
-/// Parallel reads (DESIGN.md §10): when a worker pool with more than one
-/// thread is attached, ExecuteRead partitions each stage's sorted OID
-/// batch into page-aligned ranges and runs them concurrently. Page
-/// alignment means no page is split across workers, so with a
-/// buffer-resident pool the logical I/O counters (fetches, hits,
+/// Parallel reads (DESIGN.md §10): every read stage is one loop body over
+/// [begin, end) ranges of its sorted OID batch. When a worker pool with
+/// more than one thread is attached (and the query has at least two
+/// heads), the batch splits into page-aligned ranges that run
+/// concurrently. Page alignment means no page is split across workers, so
+/// with a buffer-resident pool the logical I/O counters (fetches, hits,
 /// disk_reads) are identical to the serial plan's — each page costs one
 /// disk_read plus hits regardless of which worker touches it first. With
-/// no pool (or one thread) the executor runs the original serial code
-/// path unchanged.
+/// no pool (or one thread) each stage is the single range [0, n), run
+/// inline on the query thread.
 class Executor {
  public:
   Executor(Catalog* catalog, SetProvider* sets, IndexManager* indexes,
@@ -111,6 +112,23 @@ class Executor {
     /// Attribute indices applied to successively fetched objects; all but
     /// the last must be refs, the last produces the column value.
     std::vector<int> hop_attrs;
+
+    /// The in-place replica value this plan reads from `head` (an in-place
+    /// kReplica, or a kJoin with a replicated prefix); null when absent.
+    const Value* InPlaceValue(const Object& head) const {
+      const ReplicaValueSlot* slot = head.FindReplicaValues(path->id);
+      if (slot == nullptr ||
+          replica_pos >= static_cast<int>(slot->values.size())) {
+        return nullptr;
+      }
+      return &slot->values[replica_pos];
+    }
+    /// The first object a kJoin plan visits; invalid on a null reference.
+    Oid JoinStart(const Object& head) const {
+      const Value* v =
+          path != nullptr ? InPlaceValue(head) : &head.field(start_attr);
+      return v != nullptr && v->is_ref() ? v->as_ref() : Oid::Invalid();
+    }
   };
 
   /// A predicate bound together with the plan that produces the value it
@@ -130,6 +148,11 @@ class Executor {
   /// projections batch joins instead).
   Result<Value> EvaluateColumn(const ColumnPlan& plan,
                                const Object& head) const;
+
+  /// Reads the separate replica record at `oid` in `file` (a path's S'
+  /// file) and returns its value at `pos`; null when absent.
+  static Result<Value> ReadReplicaValue(RecordFile* file, const Oid& oid,
+                                        int pos);
 
   Status BindClause(const ObjectSet& set, const std::string& set_name,
                     bool use_replication, const Predicate& predicate,
@@ -154,24 +177,17 @@ class Executor {
   /// that path's pending queue first.
   Status FlushDeferredForPlan(const ColumnPlan& plan);
 
-  /// Stages 0–2 of ExecuteRead, original single-threaded implementation.
-  /// `tracer` brackets the stages (no-op when untraced).
-  Status RunReadStagesSerial(ReadResult* result, ObjectSet* set,
-                             const std::vector<ColumnPlan>& plans,
-                             bool needs_recheck,
-                             const std::optional<BoundClause>& clause,
-                             const std::vector<Oid>& oids,
-                             StageTracer* tracer);
-
-  /// Stages 0–2 of ExecuteRead fanned out over the worker pool. Stage
-  /// boundaries are RunBatch barriers, so the tracer's pool snapshots are
-  /// quiesced and the per-stage deltas are exact.
-  Status RunReadStagesParallel(ReadResult* result, ObjectSet* set,
-                               const std::vector<ColumnPlan>& plans,
-                               bool needs_recheck,
-                               const std::optional<BoundClause>& clause,
-                               const std::vector<Oid>& oids,
-                               StageTracer* tracer);
+  /// Stages 0–2 of ExecuteRead: heads, separate replicas, join hops.
+  /// Each stage runs one loop body over page-aligned ranges of its sorted
+  /// OIDs — one inline range without a parallel plan, one pool task per
+  /// range with one. `tracer` brackets the stages (no-op when untraced);
+  /// `trace`, when non-null, gets the parallel fan-out.
+  Status RunReadStages(ReadResult* result, ObjectSet* set,
+                       const std::vector<ColumnPlan>& plans,
+                       bool needs_recheck,
+                       const std::optional<BoundClause>& clause,
+                       const std::vector<Oid>& oids, StageTracer* tracer,
+                       QueryTrace* trace);
 
   Status EnsureOutputFileLocked() REQUIRES(output_mu_);
   Result<RecordFile*> OutputFileLocked() REQUIRES(output_mu_);

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "common/bytes.h"
@@ -29,450 +31,273 @@ Oid RefOrInvalid(const Value& v) {
   return v.is_ref() ? v.as_ref() : Oid::Invalid();
 }
 
-struct PendingReplica {
+/// A read queued by an earlier stage: fill result row `row` from `oid`
+/// (a separate replica record, or the next object of a join).
+struct Pending {
   size_t row;
-  Oid replica_oid;
-};
-struct PendingJoin {
-  size_t row;
-  Oid current;
+  Oid oid;
 };
 
-/// Splits `n` sorted items into at most `parts` contiguous [begin, end)
-/// ranges without splitting a page across ranges: a range boundary is
-/// moved forward while the item before it addresses the same page. With a
-/// buffer-resident pool this makes the logical I/O counters independent
-/// of which worker processes which range — every page is fetched by
-/// exactly one range's access stream plus single-flight-deduplicated
-/// concurrent hits.
-std::vector<std::pair<size_t, size_t>> PageAlignedRanges(
-    size_t n, size_t parts, const std::function<PageId(size_t)>& page_of) {
-  std::vector<std::pair<size_t, size_t>> ranges;
-  if (n == 0 || parts == 0) return ranges;
-  const size_t target = (n + parts - 1) / parts;
-  size_t start = 0;
-  while (start < n) {
-    size_t end = std::min(start + target, n);
-    while (end < n && page_of(end) == page_of(end - 1)) ++end;
-    ranges.emplace_back(start, end);
-    start = end;
+constexpr auto kByOid = [](const Pending& a, const Pending& b) {
+  return a.oid < b.oid;
+};
+
+using Range = std::pair<size_t, size_t>;
+
+/// Appends `src` to `dst`, by a swap while `dst` is still empty, so that
+/// merging a single range moves and copies nothing.
+template <typename T>
+void Concat(std::vector<T>* dst, std::vector<T>* src) {
+  if (dst->empty()) {
+    dst->swap(*src);
+  } else {
+    dst->insert(dst->end(), std::make_move_iterator(src->begin()),
+                std::make_move_iterator(src->end()));
   }
-  return ranges;
 }
-}  // namespace
 
-Status Executor::RunReadStagesSerial(ReadResult* result, ObjectSet* set,
-                                     const std::vector<ColumnPlan>& plans,
-                                     bool needs_recheck,
-                                     const std::optional<BoundClause>& clause,
-                                     const std::vector<Oid>& oids,
-                                     StageTracer* tracer) {
-  // Stage 0: fetch head objects in physical order; evaluate attribute and
-  // in-place-replica columns; queue separate-replica reads and joins.
-  std::vector<std::vector<PendingReplica>> pending_replicas(plans.size());
-  std::vector<std::vector<PendingJoin>> pending_joins(plans.size());
+/// Read-ahead: every stage visits its items in sorted (physical) order,
+/// so each [begin, end) slice is announced to the pool a window at a
+/// time. Prefetching is best-effort — a failed batch falls back to the
+/// on-demand reads, which also keep the logical I/O counters exact.
+struct ReadAhead {
+  BufferPool* pool;
+  uint32_t window;
 
-  // Read-ahead: the stages below all visit OID batches in sorted
-  // (physical) order, so each batch is announced to the pool a window at
-  // a time. Prefetching is best-effort — a failed batch falls back to the
-  // on-demand reads, which also keep the logical I/O counters exact.
-  BufferPool* pool = set->file().pool();
-  const uint32_t window = pool->read_ahead_window();
-
-  for (size_t i = 0; i < oids.size(); ++i) {
-    if (window > 0 && i % window == 0) {
-      size_t ahead = std::min<size_t>(window, oids.size() - i);
+  /// Called before item `i`; prefetches at each window boundary.
+  template <typename Item, typename OidOf>
+  void At(const std::vector<Item>& items, size_t begin, size_t i, size_t end,
+          OidOf oid_of) const {
+    if (window == 0 || (i - begin) % window != 0) return;
+    const size_t ahead = std::min<size_t>(window, end - i);
+    if constexpr (std::is_same_v<Item, Oid>) {
       (void)pool->PrefetchOidPages(
-          std::span<const Oid>(oids.data() + i, ahead));
-    }
-    const Oid& oid = oids[i];
-    Object object;
-    FIELDREP_RETURN_IF_ERROR(set->Read(oid, &object));
-    if (needs_recheck && clause.has_value()) {
-      FIELDREP_ASSIGN_OR_RETURN(Value value,
-                                EvaluateColumn(clause->plan, object));
-      FIELDREP_ASSIGN_OR_RETURN(bool match, clause->predicate.Matches(value));
-      if (!match) continue;
-    }
-    ++result->heads_scanned;
-    size_t row_index = result->rows.size();
-    std::vector<Value> row(plans.size(), Value::Null());
-    for (size_t c = 0; c < plans.size(); ++c) {
-      const ColumnPlan& plan = plans[c];
-      switch (plan.kind) {
-        case ColumnPlan::Kind::kAttr:
-          row[c] = object.field(plan.attr_index);
-          break;
-        case ColumnPlan::Kind::kReplica: {
-          if (plan.path->strategy == ReplicationStrategy::kInPlace) {
-            const ReplicaValueSlot* slot =
-                object.FindReplicaValues(plan.path->id);
-            if (slot != nullptr &&
-                plan.replica_pos < static_cast<int>(slot->values.size())) {
-              row[c] = slot->values[plan.replica_pos];
-            }
-          } else {
-            const ReplicaRefSlot* slot = object.FindReplicaRef(plan.path->id);
-            if (slot != nullptr) {
-              pending_replicas[c].push_back({row_index, slot->replica_oid});
-            }
-          }
-          break;
-        }
-        case ColumnPlan::Kind::kJoin: {
-          Oid start;
-          if (plan.path != nullptr) {
-            // Replicated prefix: the next-hop OID comes from the hidden
-            // replica slot at zero I/O cost.
-            const ReplicaValueSlot* slot =
-                object.FindReplicaValues(plan.path->id);
-            if (slot != nullptr &&
-                plan.replica_pos < static_cast<int>(slot->values.size())) {
-              start = RefOrInvalid(slot->values[plan.replica_pos]);
-            }
-          } else {
-            start = RefOrInvalid(object.field(plan.start_attr));
-          }
-          if (start.valid()) pending_joins[c].push_back({row_index, start});
-          break;
-        }
+          std::span<const Oid>(items.data() + i, ahead));
+    } else {
+      std::vector<Oid> batch;
+      batch.reserve(ahead);
+      for (size_t j = i; j < i + ahead; ++j) {
+        batch.push_back(std::invoke(oid_of, items[j]));
       }
-    }
-    result->rows.push_back(std::move(row));
-  }
-  tracer->EndStage("heads", oids.size());
-
-  // Stage 1: separate-replica columns — batched, sorted by replica OID so
-  // the S' file is read in clustered order.
-  uint64_t replica_reads = 0;
-  for (size_t c = 0; c < plans.size(); ++c) {
-    if (pending_replicas[c].empty()) continue;
-    const ColumnPlan& plan = plans[c];
-    std::sort(pending_replicas[c].begin(), pending_replicas[c].end(),
-              [](const PendingReplica& a, const PendingReplica& b) {
-                return a.replica_oid < b.replica_oid;
-              });
-    FIELDREP_ASSIGN_OR_RETURN(
-        RecordFile * file, sets_->GetAuxFile(plan.path->replica_set_file));
-    for (size_t i = 0; i < pending_replicas[c].size(); ++i) {
-      if (window > 0 && i % window == 0) {
-        std::vector<Oid> batch;
-        size_t ahead = std::min<size_t>(window, pending_replicas[c].size() - i);
-        batch.reserve(ahead);
-        for (size_t j = i; j < i + ahead; ++j) {
-          batch.push_back(pending_replicas[c][j].replica_oid);
-        }
-        (void)pool->PrefetchOidPages(batch);
-      }
-      const PendingReplica& pending = pending_replicas[c][i];
-      std::string payload;
-      FIELDREP_RETURN_IF_ERROR(file->Read(pending.replica_oid, &payload));
-      ReplicaRecord record;
-      FIELDREP_RETURN_IF_ERROR(record.Deserialize(payload));
-      if (plan.replica_pos < static_cast<int>(record.values.size())) {
-        result->rows[pending.row][c] = record.values[plan.replica_pos];
-      }
-      ++replica_reads;
+      (void)pool->PrefetchOidPages(batch);
     }
   }
-  tracer->EndStage("replicas", replica_reads);
+};
 
-  // Stage 2: functional joins — level by level, each level visited in
-  // sorted OID order (the optimal-join discipline of Section 6.2).
-  uint64_t join_reads = 0;
-  for (size_t c = 0; c < plans.size(); ++c) {
-    if (pending_joins[c].empty()) continue;
-    const ColumnPlan& plan = plans[c];
-    std::vector<PendingJoin> frontier = std::move(pending_joins[c]);
-    for (size_t hop = 0; hop < plan.hop_attrs.size(); ++hop) {
-      bool last = (hop + 1 == plan.hop_attrs.size());
-      std::sort(frontier.begin(), frontier.end(),
-                [](const PendingJoin& a, const PendingJoin& b) {
-                  return a.current < b.current;
-                });
-      std::vector<PendingJoin> next;
-      for (size_t i = 0; i < frontier.size(); ++i) {
-        if (window > 0 && i % window == 0) {
-          std::vector<Oid> batch;
-          size_t ahead = std::min<size_t>(window, frontier.size() - i);
-          batch.reserve(ahead);
-          for (size_t j = i; j < i + ahead; ++j) {
-            batch.push_back(frontier[j].current);
-          }
-          (void)pool->PrefetchOidPages(batch);
-        }
-        const PendingJoin& pending = frontier[i];
-        Object target;
-        FIELDREP_RETURN_IF_ERROR(ReadObjectAt(pending.current, &target));
-        ++join_reads;
-        const Value& v = target.field(plan.hop_attrs[hop]);
-        if (last) {
-          result->rows[pending.row][c] = v;
-        } else {
-          Oid next_oid = RefOrInvalid(v);
-          if (next_oid.valid()) next.push_back({pending.row, next_oid});
-        }
-      }
-      if (!last) frontier = std::move(next);
+/// Runs a read stage's loop body over the stage's sorted items. Without a
+/// parallel plan (`workers` null) a stage is the one range [0, n) and the
+/// body runs inline on the query thread. With one, the items split into
+/// page-aligned ranges, one pool task each; RunBatch is the stage barrier,
+/// so the tracer's pool snapshots at stage boundaries are quiesced.
+class StageRunner {
+ public:
+  explicit StageRunner(ThreadPool* workers) : workers_(workers) {}
+
+  bool parallel() const { return workers_ != nullptr; }
+
+  /// Splits `n` sorted items into at most one range per worker without
+  /// splitting a page across ranges: a range boundary is moved forward
+  /// while the item before it addresses the same page. With a
+  /// buffer-resident pool this makes the logical I/O counters independent
+  /// of which worker processes which range — every page is fetched by
+  /// exactly one range's access stream plus single-flight-deduplicated
+  /// concurrent hits.
+  template <typename PageOf>
+  std::vector<Range> Split(size_t n, PageOf page_of) const {
+    if (workers_ == nullptr) return {{0, n}};
+    std::vector<Range> ranges;
+    const size_t target = (n + workers_->size() - 1) / workers_->size();
+    for (size_t start = 0; start < n;) {
+      size_t end = std::min(start + target, n);
+      while (end < n && page_of(end) == page_of(end - 1)) ++end;
+      ranges.emplace_back(start, end);
+      start = end;
     }
+    return ranges;
   }
-  tracer->EndStage("joins", join_reads);
-  return Status::OK();
-}
 
-Status Executor::RunReadStagesParallel(
-    ReadResult* result, ObjectSet* set,
-    const std::vector<ColumnPlan>& plans, bool needs_recheck,
-    const std::optional<BoundClause>& clause, const std::vector<Oid>& oids,
-    StageTracer* tracer) {
-  BufferPool* pool = set->file().pool();
-  const uint32_t window = pool->read_ahead_window();
-  const size_t nworkers = workers_->size();
-
-  // Stage 0 fan-out: page-aligned ranges of the sorted head OIDs. Each
-  // worker runs the serial stage-0 loop over its range with worker-local
-  // row/pending accumulators (row indices local to the range); the merge
-  // below concatenates them in range order, so the result rows come out
-  // in exactly the serial order.
-  std::vector<std::pair<size_t, size_t>> ranges = PageAlignedRanges(
-      oids.size(), nworkers, [&](size_t i) { return oids[i].page_id; });
-
-  struct Stage0Out {
-    std::vector<std::vector<Value>> rows;
-    uint64_t heads = 0;
-    std::vector<std::vector<PendingReplica>> pending_replicas;
-    std::vector<std::vector<PendingJoin>> pending_joins;
-    Status status;
-  };
-  std::vector<Stage0Out> outs(ranges.size());
-  {
+  /// Calls `body(r, begin, end)` for every range; returns the first error
+  /// in range order.
+  template <typename Body>
+  Status Run(const std::vector<Range>& ranges, const Body& body) const {
+    if (workers_ == nullptr) {
+      return body(size_t{0}, ranges[0].first, ranges[0].second);
+    }
+    std::vector<Status> statuses(ranges.size());
     std::vector<std::function<void()>> tasks;
     tasks.reserve(ranges.size());
     for (size_t r = 0; r < ranges.size(); ++r) {
-      outs[r].pending_replicas.resize(plans.size());
-      outs[r].pending_joins.resize(plans.size());
       tasks.emplace_back([&, r] {
-        Stage0Out& out = outs[r];
-        const size_t begin = ranges[r].first;
-        const size_t end = ranges[r].second;
-        out.status = [&]() -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            if (window > 0 && (i - begin) % window == 0) {
-              size_t ahead = std::min<size_t>(window, end - i);
-              (void)pool->PrefetchOidPages(
-                  std::span<const Oid>(oids.data() + i, ahead));
-            }
-            const Oid& oid = oids[i];
-            Object object;
-            FIELDREP_RETURN_IF_ERROR(set->Read(oid, &object));
-            if (needs_recheck && clause.has_value()) {
-              FIELDREP_ASSIGN_OR_RETURN(Value value,
-                                        EvaluateColumn(clause->plan, object));
-              FIELDREP_ASSIGN_OR_RETURN(bool match,
-                                        clause->predicate.Matches(value));
-              if (!match) continue;
-            }
-            ++out.heads;
-            size_t row_index = out.rows.size();
-            std::vector<Value> row(plans.size(), Value::Null());
-            for (size_t c = 0; c < plans.size(); ++c) {
-              const ColumnPlan& plan = plans[c];
-              switch (plan.kind) {
-                case ColumnPlan::Kind::kAttr:
-                  row[c] = object.field(plan.attr_index);
-                  break;
-                case ColumnPlan::Kind::kReplica: {
-                  if (plan.path->strategy == ReplicationStrategy::kInPlace) {
-                    const ReplicaValueSlot* slot =
-                        object.FindReplicaValues(plan.path->id);
-                    if (slot != nullptr &&
-                        plan.replica_pos <
-                            static_cast<int>(slot->values.size())) {
-                      row[c] = slot->values[plan.replica_pos];
-                    }
-                  } else {
-                    const ReplicaRefSlot* slot =
-                        object.FindReplicaRef(plan.path->id);
-                    if (slot != nullptr) {
-                      out.pending_replicas[c].push_back(
-                          {row_index, slot->replica_oid});
-                    }
-                  }
-                  break;
-                }
-                case ColumnPlan::Kind::kJoin: {
-                  Oid start;
-                  if (plan.path != nullptr) {
-                    const ReplicaValueSlot* slot =
-                        object.FindReplicaValues(plan.path->id);
-                    if (slot != nullptr &&
-                        plan.replica_pos <
-                            static_cast<int>(slot->values.size())) {
-                      start = RefOrInvalid(slot->values[plan.replica_pos]);
-                    }
-                  } else {
-                    start = RefOrInvalid(object.field(plan.start_attr));
-                  }
-                  if (start.valid()) {
-                    out.pending_joins[c].push_back({row_index, start});
-                  }
-                  break;
-                }
-              }
-            }
-            out.rows.push_back(std::move(row));
-          }
-          return Status::OK();
-        }();
+        statuses[r] = body(r, ranges[r].first, ranges[r].second);
       });
     }
     workers_->RunBatch(std::move(tasks));
-  }
-  for (const Stage0Out& out : outs) {
-    FIELDREP_RETURN_IF_ERROR(out.status);
+    for (const Status& s : statuses) FIELDREP_RETURN_IF_ERROR(s);
+    return Status::OK();
   }
 
-  // Merge in range order; local row indices shift by the range's base.
-  std::vector<std::vector<PendingReplica>> pending_replicas(plans.size());
-  std::vector<std::vector<PendingJoin>> pending_joins(plans.size());
-  for (Stage0Out& out : outs) {
+ private:
+  ThreadPool* workers_;
+};
+}  // namespace
+
+Status Executor::RunReadStages(ReadResult* result, ObjectSet* set,
+                               const std::vector<ColumnPlan>& plans,
+                               bool needs_recheck,
+                               const std::optional<BoundClause>& clause,
+                               const std::vector<Oid>& oids,
+                               StageTracer* tracer, QueryTrace* trace) {
+  // A parallel plan needs a pool of at least two workers and at least two
+  // heads to split.
+  const StageRunner runner(
+      workers_ != nullptr && workers_->size() > 1 && oids.size() > 1
+          ? workers_
+          : nullptr);
+  const ReadAhead read_ahead{set->file().pool(),
+                             set->file().pool()->read_ahead_window()};
+
+  // Stage 0: fetch head objects in physical order; evaluate attribute and
+  // in-place-replica columns; queue separate-replica reads and joins. Each
+  // range collects its rows and queued reads with range-local row indices,
+  // and the merge concatenates the ranges in order, so rows come out in
+  // sorted-OID order whatever the split.
+  struct HeadsOut {
+    std::vector<std::vector<Value>> rows;
+    uint64_t heads = 0;
+    std::vector<std::vector<Pending>> replicas;
+    std::vector<std::vector<Pending>> joins;
+  };
+  const std::vector<Range> head_ranges =
+      runner.Split(oids.size(), [&](size_t i) { return oids[i].page_id; });
+  if (trace != nullptr && runner.parallel()) {
+    trace->parallel_ranges = head_ranges.size();
+  }
+  std::vector<HeadsOut> heads(head_ranges.size());
+  FIELDREP_RETURN_IF_ERROR(runner.Run(
+      head_ranges, [&](size_t r, size_t begin, size_t end) -> Status {
+        HeadsOut& out = heads[r];
+        out.replicas.resize(plans.size());
+        out.joins.resize(plans.size());
+        for (size_t i = begin; i < end; ++i) {
+          read_ahead.At(oids, begin, i, end, std::identity());
+          Object object;
+          FIELDREP_RETURN_IF_ERROR(set->Read(oids[i], &object));
+          if (needs_recheck && clause.has_value()) {
+            FIELDREP_ASSIGN_OR_RETURN(Value value,
+                                      EvaluateColumn(clause->plan, object));
+            FIELDREP_ASSIGN_OR_RETURN(bool match,
+                                      clause->predicate.Matches(value));
+            if (!match) continue;
+          }
+          ++out.heads;
+          const size_t row_index = out.rows.size();
+          std::vector<Value> row(plans.size(), Value::Null());
+          for (size_t c = 0; c < plans.size(); ++c) {
+            const ColumnPlan& plan = plans[c];
+            switch (plan.kind) {
+              case ColumnPlan::Kind::kAttr:
+                row[c] = object.field(plan.attr_index);
+                break;
+              case ColumnPlan::Kind::kReplica:
+                if (plan.path->strategy == ReplicationStrategy::kInPlace) {
+                  if (const Value* v = plan.InPlaceValue(object)) row[c] = *v;
+                } else if (const ReplicaRefSlot* slot =
+                               object.FindReplicaRef(plan.path->id)) {
+                  out.replicas[c].push_back({row_index, slot->replica_oid});
+                }
+                break;
+              case ColumnPlan::Kind::kJoin:
+                // With a replicated prefix the first hop's OID comes from
+                // the hidden replica slot at zero I/O cost.
+                if (Oid start = plan.JoinStart(object); start.valid()) {
+                  out.joins[c].push_back({row_index, start});
+                }
+                break;
+            }
+          }
+          out.rows.push_back(std::move(row));
+        }
+        return Status::OK();
+      }));
+  std::vector<std::vector<Pending>> pending_replicas(plans.size());
+  std::vector<std::vector<Pending>> pending_joins(plans.size());
+  for (HeadsOut& out : heads) {
     const size_t base = result->rows.size();
+    auto merge = [base](std::vector<Pending>* dst, std::vector<Pending>* src) {
+      if (base != 0) {
+        for (Pending& p : *src) p.row += base;
+      }
+      Concat(dst, src);
+    };
     result->heads_scanned += out.heads;
-    for (std::vector<Value>& row : out.rows) {
-      result->rows.push_back(std::move(row));
-    }
+    Concat(&result->rows, &out.rows);
     for (size_t c = 0; c < plans.size(); ++c) {
-      for (const PendingReplica& p : out.pending_replicas[c]) {
-        pending_replicas[c].push_back({base + p.row, p.replica_oid});
-      }
-      for (const PendingJoin& p : out.pending_joins[c]) {
-        pending_joins[c].push_back({base + p.row, p.current});
-      }
+      merge(&pending_replicas[c], &out.replicas[c]);
+      merge(&pending_joins[c], &out.joins[c]);
     }
   }
   tracer->EndStage("heads", oids.size());
 
-  // Stage 1: separate-replica columns. Globally sorted by replica OID
-  // (the serial clustered-read order), then page-aligned ranges; each
-  // entry writes its own result cell, so workers touch disjoint memory.
+  // Stage 1: separate-replica columns, sorted by replica OID so the S'
+  // file is read in clustered order. Each entry writes its own result
+  // cell, so ranges touch disjoint memory.
   uint64_t replica_reads = 0;
   for (size_t c = 0; c < plans.size(); ++c) {
-    if (pending_replicas[c].empty()) continue;
+    std::vector<Pending>& pending = pending_replicas[c];
+    if (pending.empty()) continue;
     const ColumnPlan& plan = plans[c];
-    std::vector<PendingReplica>& pending = pending_replicas[c];
-    std::sort(pending.begin(), pending.end(),
-              [](const PendingReplica& a, const PendingReplica& b) {
-                return a.replica_oid < b.replica_oid;
-              });
+    std::sort(pending.begin(), pending.end(), kByOid);
     FIELDREP_ASSIGN_OR_RETURN(
         RecordFile * file, sets_->GetAuxFile(plan.path->replica_set_file));
-    std::vector<std::pair<size_t, size_t>> col_ranges =
-        PageAlignedRanges(pending.size(), nworkers, [&](size_t i) {
-          return pending[i].replica_oid.page_id;
-        });
-    std::vector<Status> statuses(col_ranges.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(col_ranges.size());
-    for (size_t r = 0; r < col_ranges.size(); ++r) {
-      tasks.emplace_back([&, r] {
-        const size_t begin = col_ranges[r].first;
-        const size_t end = col_ranges[r].second;
-        statuses[r] = [&]() -> Status {
+    FIELDREP_RETURN_IF_ERROR(runner.Run(
+        runner.Split(pending.size(),
+                     [&](size_t i) { return pending[i].oid.page_id; }),
+        [&](size_t, size_t begin, size_t end) -> Status {
           for (size_t i = begin; i < end; ++i) {
-            if (window > 0 && (i - begin) % window == 0) {
-              std::vector<Oid> batch;
-              size_t ahead = std::min<size_t>(window, end - i);
-              batch.reserve(ahead);
-              for (size_t j = i; j < i + ahead; ++j) {
-                batch.push_back(pending[j].replica_oid);
-              }
-              (void)pool->PrefetchOidPages(batch);
-            }
-            const PendingReplica& entry = pending[i];
-            std::string payload;
-            FIELDREP_RETURN_IF_ERROR(file->Read(entry.replica_oid, &payload));
-            ReplicaRecord record;
-            FIELDREP_RETURN_IF_ERROR(record.Deserialize(payload));
-            if (plan.replica_pos < static_cast<int>(record.values.size())) {
-              result->rows[entry.row][c] = record.values[plan.replica_pos];
-            }
+            read_ahead.At(pending, begin, i, end, &Pending::oid);
+            FIELDREP_ASSIGN_OR_RETURN(
+                result->rows[pending[i].row][c],
+                ReadReplicaValue(file, pending[i].oid, plan.replica_pos));
           }
           return Status::OK();
-        }();
-      });
-    }
-    workers_->RunBatch(std::move(tasks));
-    for (const Status& s : statuses) {
-      FIELDREP_RETURN_IF_ERROR(s);
-    }
+        }));
     replica_reads += pending.size();
   }
   tracer->EndStage("replicas", replica_reads);
 
   // Stage 2: functional joins, level by level. Each level sorts the
-  // frontier globally (the optimal-join discipline), fans out over
-  // page-aligned ranges, and concatenates the workers' next-frontier
-  // vectors in range order; the next level re-sorts, so concatenation
-  // order never affects the outcome.
+  // frontier (the optimal-join discipline of Section 6.2) and
+  // concatenates the ranges' next-level entries in range order; the next
+  // level re-sorts, so the split never affects the outcome.
   uint64_t join_reads = 0;
   for (size_t c = 0; c < plans.size(); ++c) {
     if (pending_joins[c].empty()) continue;
     const ColumnPlan& plan = plans[c];
-    std::vector<PendingJoin> frontier = std::move(pending_joins[c]);
+    std::vector<Pending> frontier = std::move(pending_joins[c]);
     for (size_t hop = 0; hop < plan.hop_attrs.size(); ++hop) {
-      bool last = (hop + 1 == plan.hop_attrs.size());
-      std::sort(frontier.begin(), frontier.end(),
-                [](const PendingJoin& a, const PendingJoin& b) {
-                  return a.current < b.current;
-                });
-      std::vector<std::pair<size_t, size_t>> hop_ranges = PageAlignedRanges(
-          frontier.size(), nworkers,
-          [&](size_t i) { return frontier[i].current.page_id; });
-      std::vector<Status> statuses(hop_ranges.size());
-      std::vector<std::vector<PendingJoin>> nexts(hop_ranges.size());
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(hop_ranges.size());
-      for (size_t r = 0; r < hop_ranges.size(); ++r) {
-        tasks.emplace_back([&, r, hop, last] {
-          const size_t begin = hop_ranges[r].first;
-          const size_t end = hop_ranges[r].second;
-          statuses[r] = [&]() -> Status {
+      const bool last = hop + 1 == plan.hop_attrs.size();
+      std::sort(frontier.begin(), frontier.end(), kByOid);
+      const std::vector<Range> ranges = runner.Split(
+          frontier.size(), [&](size_t i) { return frontier[i].oid.page_id; });
+      std::vector<std::vector<Pending>> nexts(ranges.size());
+      FIELDREP_RETURN_IF_ERROR(runner.Run(
+          ranges, [&](size_t r, size_t begin, size_t end) -> Status {
             for (size_t i = begin; i < end; ++i) {
-              if (window > 0 && (i - begin) % window == 0) {
-                std::vector<Oid> batch;
-                size_t ahead = std::min<size_t>(window, end - i);
-                batch.reserve(ahead);
-                for (size_t j = i; j < i + ahead; ++j) {
-                  batch.push_back(frontier[j].current);
-                }
-                (void)pool->PrefetchOidPages(batch);
-              }
-              const PendingJoin& entry = frontier[i];
+              read_ahead.At(frontier, begin, i, end, &Pending::oid);
               Object target;
-              FIELDREP_RETURN_IF_ERROR(ReadObjectAt(entry.current, &target));
+              FIELDREP_RETURN_IF_ERROR(ReadObjectAt(frontier[i].oid, &target));
               const Value& v = target.field(plan.hop_attrs[hop]);
               if (last) {
-                result->rows[entry.row][c] = v;
-              } else {
-                Oid next_oid = RefOrInvalid(v);
-                if (next_oid.valid()) nexts[r].push_back({entry.row, next_oid});
+                result->rows[frontier[i].row][c] = v;
+              } else if (Oid next = RefOrInvalid(v); next.valid()) {
+                nexts[r].push_back({frontier[i].row, next});
               }
             }
             return Status::OK();
-          }();
-        });
-      }
-      workers_->RunBatch(std::move(tasks));
-      for (const Status& s : statuses) {
-        FIELDREP_RETURN_IF_ERROR(s);
-      }
+          }));
       join_reads += frontier.size();
-      if (!last) {
-        frontier.clear();
-        for (std::vector<PendingJoin>& next : nexts) {
-          frontier.insert(frontier.end(), next.begin(), next.end());
-        }
-      }
+      frontier.clear();
+      for (std::vector<Pending>& next : nexts) Concat(&frontier, &next);
     }
   }
   tracer->EndStage("joins", join_reads);
@@ -550,22 +375,8 @@ Status Executor::ExecuteRead(const ReadQuery& query, ReadResult* result,
   if (trace != nullptr) trace->used_index = result->used_index;
   tracer.EndStage("collect", oids.size());
 
-  // With one worker (or no pool) run the pre-parallelism serial code
-  // unchanged; the parallel path requires at least two items to split.
-  const bool parallel =
-      workers_ != nullptr && workers_->size() > 1 && oids.size() > 1;
-  if (parallel) {
-    if (trace != nullptr) {
-      trace->parallel_ranges = PageAlignedRanges(
-          oids.size(), workers_->size(),
-          [&](size_t i) { return oids[i].page_id; }).size();
-    }
-    FIELDREP_RETURN_IF_ERROR(RunReadStagesParallel(
-        result, set, plans, needs_recheck, clause, oids, &tracer));
-  } else {
-    FIELDREP_RETURN_IF_ERROR(RunReadStagesSerial(
-        result, set, plans, needs_recheck, clause, oids, &tracer));
-  }
+  FIELDREP_RETURN_IF_ERROR(RunReadStages(result, set, plans, needs_recheck,
+                                         clause, oids, &tracer, trace));
   // Stage 3: spool result tuples to the output file T. Always serial —
   // output insertion is a mutation, so it holds the output lock (the
   // only lock a read query ever takes; set locks stay reader-free).

@@ -145,8 +145,15 @@ bool SlottedPage::IsLive(uint16_t slot) const {
 
 const uint8_t* SlottedPage::Read(uint16_t slot, uint32_t* size) const {
   if (!IsLive(slot)) return nullptr;
-  *size = SlotLength(slot);
-  return data_ + SlotOffset(slot);
+  // A corrupt directory entry must not point a read outside the cell area.
+  const uint32_t offset = SlotOffset(slot);
+  const uint32_t length = SlotLength(slot);
+  if (offset < kPageHeaderBytes + slot_count() * kSlotBytes ||
+      offset + length > kPageSize) {
+    return nullptr;
+  }
+  *size = length;
+  return data_ + offset;
 }
 
 bool SlottedPage::ReadString(uint16_t slot, std::string* out) const {

@@ -67,10 +67,11 @@ class SlottedPage {
   bool IsLive(uint16_t slot) const;
 
   /// Returns a pointer to the record payload and its size, or nullptr if
-  /// the slot is out of range or tombstoned.
+  /// the slot is out of range, tombstoned, or its cell does not lie inside
+  /// [end of the slot directory, kPageSize) (a corrupt entry).
   const uint8_t* Read(uint16_t slot, uint32_t* size) const;
 
-  /// Copies the record payload into `out`; false on a dead slot.
+  /// Copies the record payload into `out`; false when Read fails.
   bool ReadString(uint16_t slot, std::string* out) const;
 
   /// Replaces the record in `slot`. Returns false when the page cannot hold

@@ -8,6 +8,8 @@
 // level-by-level functional joins (stage 2).
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -60,12 +62,15 @@ void ExpectSameOutcome(const RunOutcome& base, const RunOutcome& run,
   EXPECT_EQ(base.stats.disk_writes, run.stats.disk_writes);
 }
 
-void ExpectParallelEquivalence(const WorkloadOptions& options,
-                               const ReadQuery& query) {
+// `prepare`, when set, runs on the built workload before the first query.
+void ExpectParallelEquivalence(
+    const WorkloadOptions& options, const ReadQuery& query,
+    const std::function<void(Database*)>& prepare = nullptr) {
   auto workload_or = BuildModelWorkload(options);
   ASSERT_TRUE(workload_or.ok()) << workload_or.status().ToString();
   ModelWorkload workload = std::move(workload_or).value();
   Database* db = workload.db.get();
+  if (prepare) prepare(db);
 
   RunOutcome base = RunConfig(db, query, /*threads=*/1, /*window=*/16);
   ASSERT_FALSE(::testing::Test::HasFailure());
@@ -135,6 +140,59 @@ TEST(ParallelEquivalenceTest, ClusteredJoinQuery) {
   options.clustered = true;
   options.strategy = ModelStrategy::kNoReplication;
   ExpectParallelEquivalence(options, RangeQuery(options.s_count * options.f));
+}
+
+// Index keys on strings are 8-byte prefixes, so an indexed string range
+// returns candidates that stage 0 rechecks: "rep-0001" covers the R heads
+// whose S key is 100-199 and the recheck keeps about half. The dropped
+// heads are spread over every range (R is unclustered), so each range's
+// rows and queued join reads must remap to the right result index.
+TEST(ParallelEquivalenceTest, StringIndexRecheckDropsRowsInsideRanges) {
+  WorkloadOptions options;
+  options.s_count = 300;
+  options.f = 2;
+  options.strategy = ModelStrategy::kInPlace;
+  ReadQuery query;
+  query.set_name = std::string{"R"};
+  query.projections = {"field_r", "sref.field_s"};
+  query.predicate =
+      Predicate::Between("sref.repfield", Value(std::string{"rep-000100"}),
+                         Value(std::string{"rep-000150"}));
+  ExpectParallelEquivalence(options, query, [&](Database* db) {
+    FR_ASSERT_OK(db->BuildIndex("r_repfield", "R", "sref.repfield"));
+    ReadResult result;
+    QueryTrace trace;
+    FR_ASSERT_OK(db->Retrieve(query, &result, &trace));
+    EXPECT_TRUE(result.used_index);
+    ASSERT_GT(trace.stages.size(), 2u);
+    EXPECT_EQ(trace.stages[2].name, "heads");
+    EXPECT_GT(trace.stages[2].items, result.rows.size());
+    EXPECT_GT(result.rows.size(), 0u);
+  });
+}
+
+// One matching head: even with 8 workers the query has no parallel plan.
+TEST(ParallelEquivalenceTest, SingleHeadQuery) {
+  WorkloadOptions options;
+  options.s_count = 300;
+  options.f = 2;
+  options.strategy = ModelStrategy::kInPlace;
+  ReadQuery query = RangeQuery(options.s_count * options.f);
+  query.predicate =
+      Predicate::Between("field_r", Value(int32_t{7}), Value(int32_t{7}));
+  ExpectParallelEquivalence(options, query);
+}
+
+// An in-place replica column (stage 0) and a join column (stage 2) in the
+// same query.
+TEST(ParallelEquivalenceTest, InPlaceReplicaAndJoinColumns) {
+  WorkloadOptions options;
+  options.s_count = 300;
+  options.f = 2;
+  options.strategy = ModelStrategy::kInPlace;
+  ReadQuery query = RangeQuery(options.s_count * options.f);
+  query.projections = {"field_r", "sref.repfield", "sref.field_s"};
+  ExpectParallelEquivalence(options, query);
 }
 
 }  // namespace

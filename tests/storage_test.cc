@@ -209,6 +209,13 @@ TEST_F(SlottedPageTest, InsertRead) {
   ASSERT_TRUE(page_.ReadString(slot, &out));
   EXPECT_EQ(out, "hello world");
   EXPECT_EQ(page_.live_count(), 1);
+  // A corrupt directory entry whose cell runs past the page: offset 4095
+  // (little-endian) with the 11-byte length kept. The read must fail.
+  data_[kPageHeaderBytes + 4 * slot] = 0xFF;
+  data_[kPageHeaderBytes + 4 * slot + 1] = 0x0F;
+  uint32_t size = 0;
+  EXPECT_EQ(page_.Read(static_cast<uint16_t>(slot), &size), nullptr);
+  EXPECT_FALSE(page_.ReadString(slot, &out));
 }
 
 TEST_F(SlottedPageTest, DeleteTombstonesAndReusesSlot) {

@@ -3,7 +3,10 @@
 // workload is built once, the buffer pool is warmed until the whole
 // working set is resident, and the same indexed read query (projecting a
 // replicated path, so no functional join) is timed at 1/2/4/8 worker
-// threads via Database::SetWorkerThreads.
+// threads via Database::SetWorkerThreads. Each ladder rung is timed
+// kRepeatsPerRung times, round-robin across the rungs so host drift hits
+// every rung alike; the bench reports each rung's median ms/query and
+// computes the speedup from medians.
 //
 // With the data buffer-resident the numbers isolate the query engine's
 // parallel speedup — sharded page table, per-frame latches, page-aligned
@@ -41,6 +44,16 @@
 
 namespace fieldrep::bench {
 namespace {
+
+/// Timed runs per ladder rung; the rung reports their median. A single
+/// 1-thread run swings by more than the speedups being compared.
+constexpr int kRepeatsPerRung = 5;
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
 
 /// Mixed read/write mode: two reader threads against `writers` concurrent
 /// updaters of S.repfield (which propagates into the in-place replicas on
@@ -244,8 +257,9 @@ int Run(uint32_t s_count, int queries, size_t extra_threads, uint32_t window,
                 static_cast<unsigned long long>(serial_stats.disk_reads));
   }
 
-  std::printf("  |R| = %u rows per query, %d queries per step\n", r_count,
-              queries);
+  std::printf("  |R| = %u rows per query, %d queries per step, median of "
+              "%d round-robin runs per step\n",
+              r_count, queries, kRepeatsPerRung);
   std::printf("  hardware concurrency: %u core%s\n", hw, hw == 1 ? "" : "s");
   const size_t max_step = *std::max_element(ladder.begin(), ladder.end());
   if (hw != 0 && hw < max_step) {
@@ -256,53 +270,63 @@ int Run(uint32_t s_count, int queries, size_t extra_threads, uint32_t window,
         max_step, hw, hw == 1 ? " is" : "s are");
   }
   std::printf("\n");
-  std::printf("  %8s %12s %12s %10s\n", "threads", "ms/query", "queries/s",
-              "speedup");
-  double base_qps = 0;
-  for (size_t threads : ladder) {
-    s = db.SetWorkerThreads(threads);
-    if (!s.ok()) {
-      std::printf("SetWorkerThreads(%zu): %s\n", threads,
-                  s.ToString().c_str());
-      return 1;
-    }
-    db.pool().ResetStats();
-    uint64_t start = NowNs();
-    for (int q = 0; q < queries; ++q) {
-      ReadResult result;
-      s = db.Retrieve(query, &result);
-      if (!s.ok() || result.rows.size() != r_count) {
-        std::printf("query failed at %zu threads: %s\n", threads,
+
+  // ms/query of every timed run, per rung.
+  std::vector<std::vector<double>> runs(ladder.size());
+  for (int repeat = 0; repeat < kRepeatsPerRung; ++repeat) {
+    for (size_t rung = 0; rung < ladder.size(); ++rung) {
+      const size_t threads = ladder[rung];
+      s = db.SetWorkerThreads(threads);
+      if (!s.ok()) {
+        std::printf("SetWorkerThreads(%zu): %s\n", threads,
                     s.ToString().c_str());
         return 1;
       }
+      db.pool().ResetStats();
+      uint64_t start = NowNs();
+      for (int q = 0; q < queries; ++q) {
+        ReadResult result;
+        s = db.Retrieve(query, &result);
+        if (!s.ok() || result.rows.size() != r_count) {
+          std::printf("query failed at %zu threads: %s\n", threads,
+                      s.ToString().c_str());
+          return 1;
+        }
+      }
+      double elapsed_ms = static_cast<double>(NowNs() - start) / 1e6;
+      // The logical plan must not change with the worker count: same hit
+      // count per query, zero disk reads (warm pool) at every step.
+      IoStats stats = db.io_stats();
+      if (stats.disk_reads != serial_stats.disk_reads * queries ||
+          stats.fetches != serial_stats.fetches * queries) {
+        std::printf(
+            "logical I/O diverged at %zu threads: %llu fetches / %llu reads "
+            "per query, serial plan does %llu / %llu\n",
+            threads, static_cast<unsigned long long>(stats.fetches / queries),
+            static_cast<unsigned long long>(stats.disk_reads / queries),
+            static_cast<unsigned long long>(serial_stats.fetches),
+            static_cast<unsigned long long>(serial_stats.disk_reads));
+        return 1;
+      }
+      runs[rung].push_back(elapsed_ms / queries);
     }
-    double elapsed_ms = static_cast<double>(NowNs() - start) / 1e6;
-    // The logical plan must not change with the worker count: same hit
-    // count per query, zero disk reads (warm pool) at every step.
-    IoStats stats = db.io_stats();
-    if (stats.disk_reads != serial_stats.disk_reads * queries ||
-        stats.fetches != serial_stats.fetches * queries) {
-      std::printf(
-          "logical I/O diverged at %zu threads: %llu fetches / %llu reads "
-          "per query, serial plan does %llu / %llu\n",
-          threads, static_cast<unsigned long long>(stats.fetches / queries),
-          static_cast<unsigned long long>(stats.disk_reads / queries),
-          static_cast<unsigned long long>(serial_stats.fetches),
-          static_cast<unsigned long long>(serial_stats.disk_reads));
-      return 1;
-    }
-    double qps = queries / (elapsed_ms / 1e3);
-    if (threads == 1) base_qps = qps;
-    double speedup = base_qps > 0 ? qps / base_qps : 1.0;
-    std::printf("  %8zu %12.2f %12.1f %9.2fx\n", threads,
-                elapsed_ms / queries, qps, speedup);
+  }
+
+  std::printf("  %8s %12s %12s %10s\n", "threads", "ms/query", "queries/s",
+              "speedup");
+  const double base_ms = Median(runs[0]);  // ladder[0] is the 1-thread rung
+  for (size_t rung = 0; rung < ladder.size(); ++rung) {
+    const size_t threads = ladder[rung];
+    const double ms = Median(runs[rung]);
+    const double qps = ms > 0 ? 1e3 / ms : 0;
+    const double speedup = ms > 0 ? base_ms / ms : 1.0;
+    std::printf("  %8zu %12.2f %12.1f %9.2fx\n", threads, ms, qps, speedup);
     std::string prefix = StringPrintf("threads.%zu.", threads);
-    json.Add(prefix + "ms_per_query", elapsed_ms / queries);
+    json.Add(prefix + "ms_per_query", ms);
     json.Add(prefix + "qps", qps);
     json.Add(prefix + "speedup", speedup);
     json.Add(prefix + "fetches_per_query",
-             static_cast<double>(stats.fetches / queries));
+             static_cast<double>(serial_stats.fetches));
   }
   json.SetTelemetry(db.MetricsJson());
   if (!json_path.empty()) {

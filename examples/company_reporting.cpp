@@ -104,22 +104,6 @@ int main() {
       "verify Emp2.dept.name;"
       "retrieve (Emp2.name, Emp2.dept.name)");
 
-  std::printf("\n>>> deferred propagation (Section 8 future work): updates "
-              "queue until the next read needs them\n");
-  Run(&interpreter, "replicate Emp1.dept.budget deferred;");
-  Run(&interpreter,
-      "replace Dept (budget = 11) where name = \"fun\";"
-      "replace Dept (budget = 12) where name = \"fun\";"
-      "replace Dept (budget = 13) where name = \"fun\";");
-  std::printf("pending propagations queued: %zu (three updates, one hot "
-              "department)\n",
-              db->replication().pending_propagation_count());
-  Run(&interpreter,
-      "retrieve (Emp1.name, Emp1.dept.budget) where Emp1.salary > 140000");
-  std::printf("pending propagations after the read: %zu (flushed on "
-              "demand)\n",
-              db->replication().pending_propagation_count());
-
   std::printf("\n>>> inverse functions (Section 8 future work): who "
               "references the lasers department?\n");
   auto lasers = interpreter.GetVariable("lasers");

@@ -77,7 +77,6 @@ run fig12_selected_costs
 run fig14_selected_costs
 run ablation_inline_links
 run ablation_collapsed_paths
-run ablation_deferred
 run wal_overhead
 
 echo

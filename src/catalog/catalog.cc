@@ -307,7 +307,6 @@ void Catalog::EncodeTo(std::string* out) const {
     out->push_back(static_cast<char>(info.strategy));
     out->push_back(static_cast<char>(info.collapsed ? 1 : 0));
     PutU32(out, info.inline_threshold);
-    out->push_back(static_cast<char>(info.deferred ? 1 : 0));
     out->push_back(static_cast<char>(info.cluster_links ? 1 : 0));
     PutU16(out, static_cast<uint16_t>(info.link_sequence.size()));
     for (uint8_t link : info.link_sequence) {
@@ -406,8 +405,6 @@ Status Catalog::DecodeFrom(ByteReader* reader) {
       return Status::Corruption("truncated path");
     }
     if (!reader->GetRaw(1, &byte)) return Status::Corruption("truncated path");
-    info.deferred = byte[0] != 0;
-    if (!reader->GetRaw(1, &byte)) return Status::Corruption("truncated path");
     info.cluster_links = byte[0] != 0;
     if (!reader->GetU16(&link_count)) {
       return Status::Corruption("truncated path");
@@ -472,7 +469,7 @@ std::string Catalog::Describe() const {
     out += "replicate " + info.spec + "  -- " +
            ReplicationStrategyName(info.strategy) + ", link sequence " +
            info.LinkSequenceString() + (info.collapsed ? ", collapsed" : "") +
-           (info.deferred ? ", deferred" : "") + "\n";
+           "\n";
   }
   for (const auto& [name, info] : indexes_) {
     out += "build btree " + name + " on " + info.set_name + "." +

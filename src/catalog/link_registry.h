@@ -58,9 +58,6 @@ struct ReplicationPathInfo {
   /// Link objects with at most this many member OIDs are eliminated and
   /// inlined into their owner (Section 4.3.1). 0 disables inlining.
   uint32_t inline_threshold = 1;
-  /// Deferred propagation (Section 8 future work): terminal updates queue
-  /// instead of propagating immediately. In-place paths only.
-  bool deferred = false;
   /// Section 4.3.2: this path's links share one link file, with link
   /// objects grouped by terminal chain.
   bool cluster_links = false;

@@ -611,13 +611,6 @@ void IntegrityChecker::CheckReplication() {
   }
   if (!Full()) CheckLinkSets();
   if (!Full()) CheckReplicaSets();
-  if (options_.include_info &&
-      db_->replication().pending_propagation_count() > 0) {
-    report_->AddInfo(
-        CheckLayer::kReplication, "",
-        StringPrintf("%zu deferred propagation(s) pending",
-                     db_->replication().pending_propagation_count()));
-  }
 }
 
 void IntegrityChecker::CheckLinkSets() {

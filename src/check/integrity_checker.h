@@ -33,11 +33,10 @@ class StorageDevice;
 ///                   S-ordered (the paper's Sections 4.1-4.3 and 5);
 ///   5. wal          log header/epoch sanity and record-stream structure.
 ///
-/// The checker is read-only: it never repairs, never flushes deferred
-/// propagations, and reports rather than fails — broken structures become
-/// CheckFinding entries and checking continues (up to
-/// CheckOptions::max_findings). The returned Status is non-OK only when
-/// the checker itself cannot run.
+/// The checker is read-only: it never repairs, and reports rather than
+/// fails — broken structures become CheckFinding entries and checking
+/// continues (up to CheckOptions::max_findings). The returned Status is
+/// non-OK only when the checker itself cannot run.
 class IntegrityChecker {
  public:
   IntegrityChecker(Database* db, const CheckOptions& options);

@@ -35,8 +35,6 @@ namespace fieldrep {
 ///   pool.victim -> wal.group_mu        write-back honours BeforePageFlush
 ///                                      (flush ordering) under victim.
 ///   pool.victim -> device.mu           WriteBackFrame writes to the device.
-///   frame.latch -> repl.pending_mu     deferred propagation queues entries
-///                                      while mutation page guards are live.
 enum class LockRank : uint16_t {
   kServer = 100,           ///< net::Server::mu_ (sessions, parking, admission)
   kMetricsRegistry = 150,  ///< telemetry::MetricsRegistry::mu_
@@ -59,7 +57,6 @@ enum class LockRank : uint16_t {
   kSessionWrite = 1100,    ///< net::Server per-session response write lock
   kDevice = 1200,          ///< MemoryDevice::mu_ (page vector growth)
   kProfiler = 1300,        ///< WorkloadProfiler::mu_
-  kReplicationPending = 1400,  ///< ReplicationManager::pending_mu_
   kLeaf = 1500,            ///< strictly-leaf locks (ThreadPool batch state)
 };
 

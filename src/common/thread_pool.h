@@ -78,8 +78,8 @@ class ThreadPool {
   void RunTask(std::function<void()>& task);
 
   /// kThreadPool ranks above the engine locks: RunBatch/Submit callers
-  /// may hold the writer mutex or server lock while enqueuing, and tasks
-  /// take pool/WAL locks only after mu_ is released.
+  /// may hold a set's X lock (db.setlock) or the server lock while
+  /// enqueuing, and tasks take pool/WAL locks only after mu_ is released.
   mutable Mutex mu_{LockRank::kThreadPool, "thread_pool.mu"};
   CondVar work_cv_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);

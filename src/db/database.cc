@@ -16,8 +16,14 @@ namespace {
 // Header page (page 0) layout: 8-byte magic, u64 blob size, u32 blob page
 // count, then that many u32 page ids.
 // Format v2: checkpoint blob pages carry a 40-byte kMeta page header (with
-// a per-page checksum) instead of raw full-page chunks.
-constexpr char kHeaderMagic[8] = {'F', 'R', 'E', 'P', '0', '0', '0', '2'};
+// a per-page checksum) instead of raw full-page chunks. Format v3: catalog
+// path entries are one byte shorter (the propagation-mode byte is gone).
+// Older formats are not migrated; their catalog fields would decode
+// shifted.
+constexpr char kHeaderMagic[8] = {'F', 'R', 'E', 'P', '0', '0', '0', '3'};
+// Bytes shared by every format version's magic ("FREP" plus the version's
+// leading zeros).
+constexpr size_t kHeaderMagicFamilyBytes = 5;
 
 // Blob bytes stored per meta page: everything after the page header.
 constexpr size_t kMetaChunkBytes = kPageSize - kPageHeaderBytes;
@@ -156,10 +162,6 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
                                              db->replication_.get());
   if (db->wal_ != nullptr) db->replication_->set_wal(db->wal_.get());
   db->replication_->set_pool(db->pool_.get());
-  // Deferred-propagation flushes triggered by read queries run as locked
-  // write transactions on the path's head set.
-  db->executor_->set_flush_deferred(
-      [raw](uint16_t path_id) { return raw->FlushDeferredPath(path_id); });
   if (options.worker_threads > 1) {
     db->workers_ = std::make_unique<ThreadPool>(options.worker_threads);
     db->executor_->set_worker_pool(db->workers_.get());
@@ -578,7 +580,6 @@ Status Database::Checkpoint() {
   // shared for their whole transaction), so no WAL transaction is live
   // anywhere — the no-steal precondition for the pool flush below.
   Status s = AcquireSchemaExclusive(&local);
-  if (s.ok()) s = replication_->FlushAllPendingPropagation();
   if (s.ok()) {
     if (wal_ != nullptr) {
       // The pre-commit hook publishes and writes the state blob inside
@@ -705,6 +706,15 @@ Status Database::RestoreFromDevice() {
   PageGuard header;
   FIELDREP_RETURN_IF_ERROR(pool_->FetchPage(0, &header));
   if (std::memcmp(header.data(), kHeaderMagic, sizeof(kHeaderMagic)) != 0) {
+    if (std::memcmp(header.data(), kHeaderMagic, kHeaderMagicFamilyBytes) ==
+        0) {
+      const std::string found(reinterpret_cast<const char*>(header.data()),
+                              sizeof(kHeaderMagic));
+      const std::string wanted(kHeaderMagic, sizeof(kHeaderMagic));
+      return Status::NotSupported("database file has on-disk format " +
+                                  found + "; this build reads only " + wanted +
+                                  " (no migration: rebuild the database)");
+    }
     return Status::Corruption(
         "backing file has no fieldrep checkpoint header (was Checkpoint() "
         "called before closing?)");
@@ -838,17 +848,6 @@ void Database::AttachSessionTransaction(SessionTxn* txn) {
 Status Database::WaitWalDurable(uint64_t lsn) {
   if (wal_ == nullptr || lsn == 0) return Status::OK();
   return wal_->WaitDurable(lsn);
-}
-
-Status Database::FlushDeferredPath(uint16_t path_id) {
-  const ReplicationPathInfo* path = catalog_.GetPath(path_id);
-  if (path == nullptr) {
-    return Status::NotFound(StringPrintf("no replication path %u", path_id));
-  }
-  const std::string head_set = path->bound.set_name;
-  return WriteOp(&head_set, [&] {
-    return replication_->FlushPendingPropagation(path_id);
-  });
 }
 
 // ---------------------------------------------------------------------------

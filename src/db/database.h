@@ -260,9 +260,9 @@ class Database : public SetProvider {
   /// Writes the catalog, file metadata, and index roots to the database
   /// header pages and flushes everything, so that Open() on the same
   /// backing file restores the full database (file-backed devices).
-  /// Pending deferred propagations are flushed first. Without WAL this is
-  /// the only durability point; with WAL it additionally flushes the pool
-  /// and truncates the log (fuzzy checkpoint).
+  /// Without WAL this is the only durability point; with WAL it
+  /// additionally flushes the pool and truncates the log (fuzzy
+  /// checkpoint).
   Status Checkpoint();
 
   /// Human-readable storage report: per-set and per-auxiliary-file record
@@ -275,11 +275,10 @@ class Database : public SetProvider {
   /// Verifies structural invariants bottom-up — page/slot structure and
   /// checksums, B+ tree ordering, catalog/object typing, replication
   /// mirrors (link objects, replica slots, S' files), WAL state — and
-  /// appends findings to `report`. Read-only: nothing is repaired and
-  /// deferred propagations are not flushed. The returned status reports
-  /// checker failures only; corruption is expressed as findings
-  /// (`report->ok()`). Used by fieldrep_fsck and by tests as a closing
-  /// assertion.
+  /// appends findings to `report`. Read-only: nothing is repaired. The
+  /// returned status reports checker failures only; corruption is
+  /// expressed as findings (`report->ok()`). Used by fieldrep_fsck and by
+  /// tests as a closing assertion.
   Status CheckIntegrity(const CheckOptions& options, CheckReport* report);
   Status CheckIntegrity(CheckReport* report);
 
@@ -389,10 +388,6 @@ class Database : public SetProvider {
   /// Rebuilds the whole committed-state registry from live state (DDL
   /// publish-all, Open, and commits outside any tracked transaction).
   void RefreshAllCommitted();
-
-  /// Runs a deferred-propagation flush as a locked write transaction on
-  /// the path's head set (the executor's flush_deferred callback).
-  Status FlushDeferredPath(uint16_t path_id);
 
   /// Best-effort checkpoint once the log crosses the configured
   /// threshold. Called after a committed operation released its locks;

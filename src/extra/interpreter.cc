@@ -79,12 +79,11 @@ Result<std::string> Interpreter::Run(const ReplicateStmt& stmt) {
   uint16_t path_id;
   FIELDREP_RETURN_IF_ERROR(db_->Replicate(stmt.spec, stmt.options, &path_id));
   const ReplicationPathInfo* path = db_->catalog().GetPath(path_id);
-  return StringPrintf("replicated %s  -- %s, link sequence %s%s%s\n",
+  return StringPrintf("replicated %s  -- %s, link sequence %s%s\n",
                       stmt.spec.c_str(),
                       ReplicationStrategyName(stmt.options.strategy),
                       path->LinkSequenceString().c_str(),
-                      stmt.options.collapsed ? ", collapsed" : "",
-                      stmt.options.deferred ? ", deferred" : "");
+                      stmt.options.collapsed ? ", collapsed" : "");
 }
 
 Result<std::string> Interpreter::Run(const DropReplicateStmt& stmt) {

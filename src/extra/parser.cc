@@ -225,10 +225,6 @@ Result<ReplicateStmt> Parser::ParseReplicate() {
       stmt.options.collapsed = true;
       continue;
     }
-    if (ConsumeKeyword("deferred")) {
-      stmt.options.deferred = true;
-      continue;
-    }
     if (ConsumeKeyword("clustered")) {
       stmt.options.cluster_links = true;
       continue;

@@ -19,7 +19,7 @@ namespace fieldrep::extra {
 ///                   f: string )
 ///   create SetName: {own ref T}
 ///   replicate Set.a.b [using inplace|separate] [collapsed] [inline N]
-///                     [deferred]
+///                     [clustered]
 ///   drop replicate Set.a.b
 ///   build btree IndexName on Set.key[.path] [clustered]
 ///   insert Set (a = 1, c = $x) [as $y]

@@ -11,8 +11,7 @@
 ///  * Query types (query/read_query.h, query/update_query.h,
 ///    query/predicate.h).
 ///  * Replication control (replication/replication_manager.h):
-///    ReplicateOptions, consistency verification, deferred-propagation
-///    flushing, inverse lookups.
+///    ReplicateOptions, consistency verification, inverse lookups.
 ///  * The Section 6 analytical cost model (costmodel/*).
 ///  * The EXTRA-flavoured statement language (extra/interpreter.h).
 ///

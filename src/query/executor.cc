@@ -222,15 +222,6 @@ Result<Value> Executor::ReadReplicaValue(RecordFile* file, const Oid& oid,
   return std::move(record.values[pos]);
 }
 
-Status Executor::FlushDeferredForPlan(const ColumnPlan& plan) {
-  if (plan.path == nullptr || !plan.path->deferred) return Status::OK();
-  // Draining a deferred queue mutates pages: route it through the
-  // Database, which runs the flush as a locked write transaction on the
-  // path's closure (DESIGN.md §14).
-  if (flush_deferred_) return flush_deferred_(plan.path->id);
-  return replication_->FlushPendingPropagation(plan.path->id);
-}
-
 Status Executor::BindClause(const ObjectSet& set, const std::string& set_name,
                             bool use_replication, const Predicate& predicate,
                             BoundClause* clause) const {
@@ -278,7 +269,6 @@ Status Executor::CollectTargets(ObjectSet* set,
   BoundClause bound;
   FIELDREP_RETURN_IF_ERROR(
       BindClause(*set, set_name, use_replication, *predicate, &bound));
-  FIELDREP_RETURN_IF_ERROR(FlushDeferredForPlan(bound.plan));
   const IndexInfo* index_info =
       catalog_->FindIndex(set_name, predicate->attr_name);
   if (index_info != nullptr) {

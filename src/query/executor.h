@@ -2,7 +2,6 @@
 #define FIELDREP_QUERY_EXECUTOR_H_
 
 #include <atomic>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,13 +67,6 @@ class Executor {
   /// Attaches (or detaches, with nullptr) the worker pool parallel reads
   /// run on. Not thread-safe: call while no query is executing.
   void set_worker_pool(ThreadPool* pool) { workers_ = pool; }
-  /// Routes deferred-propagation flushes through the Database, which
-  /// runs them as locked write transactions (DESIGN.md §14). Without a
-  /// callback the flush calls the replication manager directly
-  /// (standalone executor tests).
-  void set_flush_deferred(std::function<Status(uint16_t)> fn) {
-    flush_deferred_ = std::move(fn);
-  }
   /// Attaches the workload profiler; per-path read recording (once per
   /// query and projection, with the row count) is a no-op when null.
   void set_profiler(WorkloadProfiler* profiler) { profiler_ = profiler; }
@@ -172,11 +164,6 @@ class Executor {
   Status ReadObjectAt(const Oid& oid, Object* object,
                       ObjectSet** set_out = nullptr) const;
 
-  /// Deferred-propagation hook ("updates are not propagated until
-  /// needed"): when a plan reads through a deferred in-place path, drain
-  /// that path's pending queue first.
-  Status FlushDeferredForPlan(const ColumnPlan& plan);
-
   /// Stages 0–2 of ExecuteRead: heads, separate replicas, join hops.
   /// Each stage runs one loop body over page-aligned ranges of its sorted
   /// OIDs — one inline range without a parallel plan, one pool task per
@@ -204,7 +191,6 @@ class Executor {
   /// the only mutating steps of a read query. Readers of other files
   /// never take it; writers never touch the output file.
   mutable Mutex output_mu_{LockRank::kExecutorOutput, "executor.output_mu"};
-  std::function<Status(uint16_t)> flush_deferred_;
   WorkloadProfiler* profiler_ = nullptr;
 };
 

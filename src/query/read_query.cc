@@ -322,9 +322,6 @@ Status Executor::ExecuteRead(const ReadQuery& query, ReadResult* result,
     FIELDREP_RETURN_IF_ERROR(PlanColumn(*set, query.set_name,
                                         query.use_replication, projection,
                                         &plan));
-    // "Not propagated until needed": reading through a deferred path is
-    // the need.
-    FIELDREP_RETURN_IF_ERROR(FlushDeferredForPlan(plan));
     plans.push_back(std::move(plan));
   }
   result->access.reserve(plans.size());

@@ -8,7 +8,6 @@
 #include "storage/buffer_pool.h"
 #include "telemetry/metrics.h"
 #include "telemetry/workload_profiler.h"
-#include "wal/wal_manager.h"
 
 namespace fieldrep {
 
@@ -27,29 +26,12 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 // Telemetry
 // ---------------------------------------------------------------------------
 
-void ReplicationManager::PendingInsert(uint16_t path_id, uint64_t packed) {
-  MutexLock lock(pending_mu_);
-  if (pending_.insert({path_id, packed}).second) {
-    pending_count_.fetch_add(1, kRelaxed);
-    deferred_queued_.fetch_add(1, kRelaxed);
-  }
-}
-
-void ReplicationManager::PendingErase(uint16_t path_id, uint64_t packed) {
-  MutexLock lock(pending_mu_);
-  if (pending_.erase({path_id, packed}) != 0) {
-    pending_count_.fetch_sub(1, kRelaxed);
-  }
-}
-
 ReplicationManager::Telemetry ReplicationManager::telemetry() const {
   Telemetry t;
   t.propagations = propagations_.load(kRelaxed);
   t.heads_updated = heads_updated_.load(kRelaxed);
   t.link_traversals = link_traversals_.load(kRelaxed);
   t.separate_replica_writes = separate_replica_writes_.load(kRelaxed);
-  t.deferred_queued = deferred_queued_.load(kRelaxed);
-  t.deferred_flushed = deferred_flushed_.load(kRelaxed);
   return t;
 }
 
@@ -76,15 +58,6 @@ void ReplicationManager::CollectMetrics(std::vector<MetricSample>* out) const {
   add("fieldrep_replication_separate_replica_writes_total",
       "Shared S' replica record updates.", MetricKind::kCounter,
       static_cast<double>(t.separate_replica_writes));
-  add("fieldrep_replication_deferred_queued_total",
-      "Propagations queued by deferred paths.", MetricKind::kCounter,
-      static_cast<double>(t.deferred_queued));
-  add("fieldrep_replication_deferred_flushed_total",
-      "Queued propagations drained by flushes.", MetricKind::kCounter,
-      static_cast<double>(t.deferred_flushed));
-  add("fieldrep_replication_pending_propagations",
-      "Deferred propagations awaiting a flush.", MetricKind::kGauge,
-      static_cast<double>(pending_count_.load(kRelaxed)));
 }
 
 // ---------------------------------------------------------------------------
@@ -220,13 +193,6 @@ Status ReplicationManager::PropagateTerminalValue(const std::string& set_name,
       int pos = PositionOf(path->bound.terminal_fields, attr_index);
       if (pos < 0) continue;
       if (!done.insert(path_id).second) continue;
-      if (path->deferred) {
-        // Section 8 future work: queue the (path, terminal) pair; the
-        // fan-out happens at the next read through this path.
-        PendingInsert(path_id, oid.Packed());
-        if (propagated != nullptr) *propagated = true;
-        continue;
-      }
       std::vector<Oid> heads;
       FIELDREP_RETURN_IF_ERROR(CollectHeadsFromLevel(
           *path, static_cast<uint16_t>(path->bound.level()), oid, ctx,
@@ -270,79 +236,6 @@ Status ReplicationManager::PropagateTerminalValue(const std::string& set_name,
       profiler_->RecordPropagation(path->spec, 0);
     }
     if (propagated != nullptr) *propagated = true;
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Deferred propagation (Section 8 future work)
-// ---------------------------------------------------------------------------
-
-Status ReplicationManager::FlushPendingPropagation(uint16_t path_id) {
-  WalTransaction txn(wal_);
-  FIELDREP_RETURN_IF_ERROR(txn.begin_status());
-  const ReplicationPathInfo* path = catalog_->GetPath(path_id);
-  if (path == nullptr) {
-    return Status::NotFound(StringPrintf("no replication path %u", path_id));
-  }
-  // Snapshot this path's queue up front, never holding pending_mu_
-  // across the propagation work below. The set ordering visits terminals
-  // in physical order.
-  std::vector<uint64_t> terminals;
-  {
-    MutexLock lock(pending_mu_);
-    for (auto it = pending_.lower_bound({path_id, 0});
-         it != pending_.end() && it->first == path_id; ++it) {
-      terminals.push_back(it->second);
-    }
-  }
-  if (pool_ != nullptr && terminals.size() > 1) {
-    // The queue orders terminals physically; warm their pages in one batch.
-    std::vector<Oid> terminal_oids;
-    terminal_oids.reserve(terminals.size());
-    for (uint64_t packed : terminals) {
-      terminal_oids.push_back(Oid::FromPacked(packed));
-    }
-    (void)pool_->PrefetchOidPages(terminal_oids);
-  }
-  for (uint64_t packed : terminals) {
-    Oid terminal = Oid::FromPacked(packed);
-    MutationContext ctx(&ops_);
-    Object* terminal_obj;
-    Status read = ctx.Get(terminal, &terminal_obj);
-    if (read.IsNotFound()) {
-      // Terminal deleted after its update was queued; nothing references
-      // it any more (deletion requires no link objects), so nothing to do.
-      PendingErase(path_id, packed);
-      continue;
-    }
-    FIELDREP_RETURN_IF_ERROR(read);
-    std::vector<Oid> heads;
-    FIELDREP_RETURN_IF_ERROR(CollectHeadsFromLevel(
-        *path, static_cast<uint16_t>(path->bound.level()), terminal, &ctx,
-        &heads));
-    std::vector<Value> values;
-    FIELDREP_RETURN_IF_ERROR(
-        ReadTerminalValues(*path, terminal, &ctx, &values));
-    FIELDREP_RETURN_IF_ERROR(UpdateHeadSlots(*path, heads, values, -1, &ctx));
-    PendingErase(path_id, packed);
-    propagations_.fetch_add(1, kRelaxed);
-    deferred_flushed_.fetch_add(1, kRelaxed);
-    if (profiler_ != nullptr) {
-      profiler_->RecordPropagation(path->spec, heads.size());
-    }
-  }
-  return txn.Commit();
-}
-
-Status ReplicationManager::FlushAllPendingPropagation() {
-  std::set<uint16_t> paths;
-  {
-    MutexLock lock(pending_mu_);
-    for (const auto& [path_id, packed] : pending_) paths.insert(path_id);
-  }
-  for (uint16_t path_id : paths) {
-    FIELDREP_RETURN_IF_ERROR(FlushPendingPropagation(path_id));
   }
   return Status::OK();
 }
@@ -427,23 +320,6 @@ Status ReplicationManager::VerifyPathToReport(uint16_t path_id,
   const ReplicationPathInfo& path = *path_ptr;
   const std::string context = "path " + path.spec;
 
-  // Read-only mode never drains the deferred queue; queued propagations
-  // make value lag legitimate, so value comparisons are skipped (link
-  // maintenance stays eager even in deferred mode and is still checked).
-  bool values_lagging = false;
-  if (path.deferred) {
-    {
-      MutexLock lock(pending_mu_);
-      auto it = pending_.lower_bound({path_id, 0});
-      values_lagging = it != pending_.end() && it->first == path_id;
-    }
-    if (values_lagging) {
-      report->AddInfo(CheckLayer::kReplication, context,
-                      "deferred propagations pending; replica values not "
-                      "compared");
-    }
-  }
-
   FIELDREP_ASSIGN_OR_RETURN(ObjectSet * head_set,
                             sets_->GetSet(path.bound.set_name));
   std::vector<Oid> heads;
@@ -471,19 +347,16 @@ Status ReplicationManager::VerifyPathToReport(uint16_t path_id,
     // Expected replica values by forward traversal.
     Object* head_img;
     FIELDREP_RETURN_IF_ERROR(ctx.Get(head, &head_img));
-    if (!values_lagging) {
-      std::vector<Value> expected;
-      FIELDREP_RETURN_IF_ERROR(ReadTerminalValues(path, chain[n], &ctx,
-                                                  &expected));
-      std::vector<Value> actual;
-      FIELDREP_RETURN_IF_ERROR(ReadReplicatedValues(path, *head_img,
-                                                    &actual));
-      if (actual != expected) {
-        report->AddError(CheckLayer::kReplication, context,
-                         "stale replica: stored values disagree with "
-                         "forward traversal",
-                         kInvalidPageId, head);
-      }
+    std::vector<Value> expected;
+    FIELDREP_RETURN_IF_ERROR(ReadTerminalValues(path, chain[n], &ctx,
+                                                &expected));
+    std::vector<Value> actual;
+    FIELDREP_RETURN_IF_ERROR(ReadReplicatedValues(path, *head_img, &actual));
+    if (actual != expected) {
+      report->AddError(CheckLayer::kReplication, context,
+                       "stale replica: stored values disagree with "
+                       "forward traversal",
+                       kInvalidPageId, head);
     }
 
     // Link membership along the chain.
@@ -588,14 +461,6 @@ Status ReplicationManager::VerifyPathToReport(uint16_t path_id,
 }
 
 Status ReplicationManager::VerifyPathConsistency(uint16_t path_id) {
-  const ReplicationPathInfo* path = catalog_->GetPath(path_id);
-  if (path == nullptr) {
-    return Status::NotFound(StringPrintf("no replication path %u", path_id));
-  }
-  if (path->deferred) {
-    // Deferred mode's invariant is "consistent after a flush".
-    FIELDREP_RETURN_IF_ERROR(FlushPendingPropagation(path_id));
-  }
   CheckReport report;
   FIELDREP_RETURN_IF_ERROR(VerifyPathToReport(path_id, &report));
   for (const CheckFinding& finding : report.findings) {

@@ -68,12 +68,6 @@ Status ReplicationManager::CreatePath(const std::string& spec,
         "separate replication of a self-referencing path is not supported "
         "(head-side and terminal-side replica bookkeeping would collide)");
   }
-  if (options.deferred &&
-      options.strategy != ReplicationStrategy::kInPlace) {
-    return Status::NotSupported(
-        "deferred propagation applies to in-place replication (separate "
-        "replication already touches only the shared replica record)");
-  }
   if (options.cluster_links) {
     if (options.strategy != ReplicationStrategy::kInPlace ||
         options.collapsed || bound.level() < 2) {
@@ -89,7 +83,6 @@ Status ReplicationManager::CreatePath(const std::string& spec,
   info.strategy = options.strategy;
   info.collapsed = options.collapsed;
   info.inline_threshold = options.inline_threshold;
-  info.deferred = options.deferred;
   info.cluster_links = options.cluster_links;
   uint16_t id;
   FIELDREP_RETURN_IF_ERROR(catalog_->RegisterReplicationPath(info, &id));
@@ -353,14 +346,6 @@ Status ReplicationManager::DropPath(uint16_t path_id) {
   const ReplicationPathInfo* found = catalog_->GetPath(path_id);
   if (found == nullptr) {
     return Status::NotFound(StringPrintf("no replication path %u", path_id));
-  }
-  // Abandon any queued deferred propagations for this path.
-  {
-    MutexLock pending_lock(pending_mu_);
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      it = (it->first == path_id) ? pending_.erase(it) : std::next(it);
-    }
-    pending_count_.store(pending_.size(), std::memory_order_relaxed);
   }
   ReplicationPathInfo path = *found;  // survives catalog removal below
   LinkRegistry& registry = catalog_->link_registry();
@@ -979,11 +964,7 @@ Status ReplicationManager::HandleRefUpdate(const std::string& set_name,
           ReadTerminalValues(path, work.old_terminal, ctx, &old_values));
       FIELDREP_RETURN_IF_ERROR(
           ReadTerminalValues(path, chain[n], ctx, &values));
-      if (path.deferred && chain[n].valid()) {
-        // Queue the refresh; the eventual flush of the new terminal
-        // re-derives exactly these heads through the rebuilt links.
-        PendingInsert(path.id, chain[n].Packed());
-      } else if (values != old_values) {
+      if (values != old_values) {
         FIELDREP_RETURN_IF_ERROR(
             UpdateHeadSlots(path, work.heads, values, -1, ctx));
       }
@@ -1024,9 +1005,7 @@ Status ReplicationManager::HandleRefUpdate(const std::string& set_name,
         ReadTerminalValues(path, old_target, ctx, &old_values));
     FIELDREP_RETURN_IF_ERROR(
         ReadTerminalValues(path, new_target, ctx, &values));
-    if (path.deferred && new_target.valid()) {
-      PendingInsert(path.id, new_target.Packed());
-    } else if (values != old_values) {
+    if (values != old_values) {
       FIELDREP_RETURN_IF_ERROR(
           UpdateHeadSlots(path, work.heads, values, -1, ctx));
     }

@@ -2,7 +2,6 @@
 #define FIELDREP_REPLICATION_REPLICATION_MANAGER_H_
 
 #include <atomic>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -10,7 +9,6 @@
 
 #include "catalog/catalog.h"
 #include "check/check_report.h"
-#include "common/annotated_mutex.h"
 #include "common/status.h"
 #include "index/index_manager.h"
 #include "objects/object.h"
@@ -41,17 +39,6 @@ struct ReplicateOptions {
   /// conflict the paper leaves "for future study" is resolved here by
   /// simply refusing to share).
   bool cluster_links = false;
-  /// Deferred propagation — the Section 8 future-work item "replication
-  /// techniques in which updates are not propagated until needed".
-  /// Terminal-value updates are queued instead of fanned out to the heads;
-  /// the queue is drained when a query reads through the path (or on an
-  /// explicit FlushPendingPropagation call), coalescing repeated updates
-  /// to the same terminal into one propagation. In-place paths only; link
-  /// maintenance for reference retargets stays eager (the inverted path
-  /// must be correct for the eventual flush). The queue is in-memory:
-  /// deferred mode trades crash-freshness for update latency, like the
-  /// POSTGRES invalidation schemes the paper compares against.
-  bool deferred = false;
 };
 
 /// \brief The replication engine: creates and drops replication paths and
@@ -98,13 +85,11 @@ class ReplicationManager {
     uint64_t heads_updated = 0;    ///< Head replica slots rewritten.
     uint64_t link_traversals = 0;  ///< Link-object member expansions.
     uint64_t separate_replica_writes = 0;  ///< Shared S' record updates.
-    uint64_t deferred_queued = 0;  ///< Propagations queued by deferred paths.
-    uint64_t deferred_flushed = 0; ///< Queued propagations drained.
   };
   Telemetry telemetry() const;
 
-  /// Appends this manager's metric samples (the Telemetry counters plus a
-  /// pending-propagation-queue gauge) to `out`.
+  /// Appends this manager's metric samples (the Telemetry counters) to
+  /// `out`.
   void CollectMetrics(std::vector<MetricSample>* out) const;
 
   // --- Path lifecycle --------------------------------------------------------
@@ -162,22 +147,6 @@ class ReplicationManager {
     return catalog_->FindPathBySpec(spec);
   }
 
-  // --- Deferred propagation (Section 8 future work) ---------------------------
-
-  /// Drains the pending-propagation queue for one path: every queued
-  /// terminal's current values are fanned out to its heads. Repeated
-  /// updates to the same terminal between flushes cost one propagation.
-  Status FlushPendingPropagation(uint16_t path_id);
-
-  /// Drains every path's queue.
-  Status FlushAllPendingPropagation();
-
-  /// Queued (path, terminal) propagations awaiting a flush (atomic mirror
-  /// of the queue size; exact whenever no flush is mid-drain).
-  size_t pending_propagation_count() const {
-    return pending_count_.load(std::memory_order_relaxed);
-  }
-
   // --- Inverse functions (Section 8 future work) --------------------------------
 
   /// The objects of `referencing_set` whose `ref_attr` references `target`
@@ -198,14 +167,12 @@ class ReplicationManager {
   /// compares with the stored replicas; verifies link-object membership
   /// both ways. Inconsistencies are appended to `report` as kReplication
   /// findings and checking continues; the returned status is non-OK only
-  /// when the traversal itself cannot run. Read-only: deferred paths with
-  /// queued propagations skip the value comparison (the lag is
-  /// legitimate) instead of flushing. Used by IntegrityChecker.
+  /// when the traversal itself cannot run. Read-only. Used by
+  /// IntegrityChecker.
   Status VerifyPathToReport(uint16_t path_id, CheckReport* report);
 
-  /// First-failure wrapper over VerifyPathToReport for tests: flushes a
-  /// deferred path's queue first, then fails with Internal on the first
-  /// error finding.
+  /// First-failure wrapper over VerifyPathToReport for tests: fails with
+  /// Internal on the first error finding.
   Status VerifyPathConsistency(uint16_t path_id);
 
  private:
@@ -248,8 +215,8 @@ class ReplicationManager {
   /// Scalar/terminal-value propagation after `attr_index` of a terminal
   /// object changed (Section 4.1.3 decides *when* from the link IDs /
   /// replica slots stored in the object itself). `propagated`, when
-  /// non-null, reports whether any replica work happened (fan-out, queue,
-  /// or S' write) — the workload profiler's per-field signal.
+  /// non-null, reports whether any replica work happened (fan-out or S'
+  /// write) — the workload profiler's per-field signal.
   Status PropagateTerminalValue(const std::string& set_name, const Oid& oid,
                                 Object* object, int attr_index,
                                 MutationContext* ctx,
@@ -267,12 +234,6 @@ class ReplicationManager {
   Status CheckReferentialIntegrity(const TypeDescriptor& type,
                                    const Object& object) const;
 
-  /// Keeps pending_count_ in lockstep with pending_. Both take
-  /// pending_mu_ internally; concurrent writers of disjoint deferred
-  /// paths may queue at once.
-  void PendingInsert(uint16_t path_id, uint64_t packed);
-  void PendingErase(uint16_t path_id, uint64_t packed);
-
   Catalog* catalog_;
   SetProvider* sets_;
   IndexManager* indexes_;
@@ -280,23 +241,12 @@ class ReplicationManager {
   BufferPool* pool_ = nullptr;
   WorkloadProfiler* profiler_ = nullptr;
   InvertedPathOps ops_;
-  /// Guards the deferred-propagation queue. Near-leaf rank: held only
-  /// for queue snapshots and insert/erase, never across propagation or
-  /// pool calls.
-  mutable Mutex pending_mu_{LockRank::kReplicationPending, "repl.pending_mu"};
-  /// Pending deferred propagations: (path id, packed terminal OID)
-  /// pairs. Ordered so flushes visit terminals in physical order.
-  /// pending_count_ mirrors its size for lock-free gauges.
-  std::set<std::pair<uint16_t, uint64_t>> pending_ GUARDED_BY(pending_mu_);
-  std::atomic<uint64_t> pending_count_{0};
 
   /// See Telemetry.
   std::atomic<uint64_t> propagations_{0};
   std::atomic<uint64_t> heads_updated_{0};
   std::atomic<uint64_t> link_traversals_{0};
   std::atomic<uint64_t> separate_replica_writes_{0};
-  std::atomic<uint64_t> deferred_queued_{0};
-  std::atomic<uint64_t> deferred_flushed_{0};
 };
 
 }  // namespace fieldrep

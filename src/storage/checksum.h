@@ -8,7 +8,8 @@
 namespace fieldrep {
 
 /// \file
-/// Per-page checksums (on-disk format v2, magic "FREP0002").
+/// Per-page checksums (introduced with on-disk format v2, magic
+/// "FREP0002").
 ///
 /// Every headered page (heap, B+ tree, meta — see PageType) reserves bytes
 /// [kPageChecksumOffset, kPageChecksumOffset + 4) of its 40-byte header for

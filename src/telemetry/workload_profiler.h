@@ -73,8 +73,8 @@ class WorkloadProfiler {
 
  private:
   /// kProfiler is near-leaf: recording call sites hold engine locks
-  /// (the writer mutex during propagation), and the profiler calls
-  /// nothing back.
+  /// (the closure's set X locks during propagation), and the profiler
+  /// calls nothing back.
   mutable Mutex mu_{LockRank::kProfiler, "workload_profiler.mu"};
   WorkloadProfile profile_ GUARDED_BY(mu_);
 };

@@ -129,15 +129,55 @@ TEST(DatabaseTest, ReadQueryIoBreakdownMatchesPlan) {
 TEST(DatabaseTest, DescribeReflectsOptions) {
   auto db = OpenEmployeeDatabase();
   PopulateEmployees(db.get(), 2, 4, 8);
-  ReplicateOptions deferred;
-  deferred.deferred = true;
-  FR_ASSERT_OK(db->Replicate("Emp1.dept.name", deferred));
   ReplicateOptions collapsed;
   collapsed.collapsed = true;
   FR_ASSERT_OK(db->Replicate("Emp1.dept.org.name", collapsed));
   std::string description = db->catalog().Describe();
-  EXPECT_NE(description.find(", deferred"), std::string::npos);
   EXPECT_NE(description.find(", collapsed"), std::string::npos);
+}
+
+TEST(DatabaseTest, RetrieveNeverWrites) {
+  // A read through an in-place path takes no lock and commits nothing,
+  // inside or outside a session transaction: there is one eager
+  // propagation path, so a query never has replica work left to do.
+  auto db = OpenEmployeeDatabase(4096, /*enable_wal=*/true);
+  auto fixture = PopulateEmployees(db.get(), 2, 4, 20);
+  FR_ASSERT_OK(db->Replicate("Emp1.dept.name", {}));
+  FR_ASSERT_OK(db->BuildIndex("emp_deptname", "Emp1", "dept.name"));
+  ReadQuery query;
+  query.set_name = "Emp1";
+  query.projections = {"name", "dept.name"};
+  std::string padded = "renamed";
+  padded.resize(20, '\0');
+  query.predicate =
+      Predicate::Compare("dept.name", CompareOp::kEq, Value(padded));
+
+  auto expect_read_only = [&](size_t expected_rows) {
+    const uint64_t commits = db->wal()->stats().transactions;
+    const uint64_t acquisitions = db->lock_table().acquisitions();
+    const uint64_t held = db->lock_table().held();
+    ReadResult result;
+    FR_ASSERT_OK(db->Retrieve(query, &result));
+    EXPECT_EQ(result.rows.size(), expected_rows);
+    for (const auto& row : result.rows) EXPECT_EQ(row[1], Value(padded));
+    EXPECT_EQ(db->wal()->stats().transactions, commits);
+    EXPECT_EQ(db->lock_table().acquisitions(), acquisitions);
+    EXPECT_EQ(db->lock_table().held(), held);
+  };
+
+  FR_ASSERT_OK(db->Update("Dept", fixture.depts[1], "name", Value("renamed")));
+  expect_read_only(5);
+
+  // Inside a session that already holds its write closure: the read
+  // neither grows the lock set nor commits the open transaction.
+  FR_ASSERT_OK(db->BeginSessionTransaction());
+  FR_ASSERT_OK(db->Update("Dept", fixture.depts[2], "name", Value("renamed")));
+  EXPECT_GT(db->lock_table().held(), 0u);
+  expect_read_only(10);
+  EXPECT_TRUE(db->InSessionTransaction());
+  FR_ASSERT_OK(db->CommitSessionTransaction());
+  EXPECT_EQ(db->lock_table().held(), 0u);
+  testing::ExpectCleanIntegrity(db.get());
 }
 
 TEST(DatabaseTest, StorageReportNamesEveryFile) {

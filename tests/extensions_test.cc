@@ -1,9 +1,9 @@
-// Tests for the Section 8 future-work extensions: deferred propagation
-// ("updates are not propagated until needed") and inverse functions /
-// bidirectional reference attributes via inverted paths.
+// Tests for the Section 8 future-work extension of inverse functions /
+// bidirectional reference attributes via inverted paths, and for
+// checkpoint/reopen persistence.
 
-#include "common/random.h"
-#include "common/strings.h"
+#include <fstream>
+
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -13,153 +13,6 @@ namespace {
 using ::fieldrep::testing::EmployeeFixture;
 using ::fieldrep::testing::OpenEmployeeDatabase;
 using ::fieldrep::testing::PopulateEmployees;
-
-std::string Padded(const std::string& s, size_t n = 20) {
-  std::string out = s;
-  out.resize(n, '\0');
-  return out;
-}
-
-class DeferredPropagationTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    db_ = OpenEmployeeDatabase();
-    fixture_ = PopulateEmployees(db_.get(), 2, 4, 20);
-    ReplicateOptions options;
-    options.deferred = true;
-    FR_ASSERT_OK(db_->Replicate("Emp1.dept.name", options));
-    path_ = db_->catalog().FindPathBySpec("Emp1.dept.name");
-    ASSERT_NE(path_, nullptr);
-    EXPECT_TRUE(path_->deferred);
-  }
-
-  Value HeadReplica(const Oid& head) {
-    Object object;
-    EXPECT_TRUE(db_->Get("Emp1", head, &object).ok());
-    const ReplicaValueSlot* slot = object.FindReplicaValues(path_->id);
-    return slot == nullptr || slot->values.empty() ? Value::Null()
-                                                   : slot->values[0];
-  }
-
-  std::unique_ptr<Database> db_;
-  EmployeeFixture fixture_;
-  const ReplicationPathInfo* path_ = nullptr;
-};
-
-TEST_F(DeferredPropagationTest, RejectedForSeparate) {
-  ReplicateOptions options;
-  options.deferred = true;
-  options.strategy = ReplicationStrategy::kSeparate;
-  EXPECT_EQ(db_->Replicate("Emp2.dept.name", options).code(),
-            StatusCode::kNotSupported);
-}
-
-TEST_F(DeferredPropagationTest, UpdateQueuesInsteadOfPropagating) {
-  FR_ASSERT_OK(db_->Update("Dept", fixture_.depts[1], "name", Value("lazy")));
-  EXPECT_EQ(db_->replication().pending_propagation_count(), 1u);
-  // Heads still hold the stale value.
-  EXPECT_EQ(HeadReplica(fixture_.emps[1]), Value(Padded("dept1")));
-  // Flushing applies it.
-  FR_ASSERT_OK(db_->replication().FlushPendingPropagation(path_->id));
-  EXPECT_EQ(db_->replication().pending_propagation_count(), 0u);
-  EXPECT_EQ(HeadReplica(fixture_.emps[1]), Value(Padded("lazy")));
-}
-
-TEST_F(DeferredPropagationTest, RepeatedUpdatesCoalesce) {
-  for (int i = 0; i < 10; ++i) {
-    FR_ASSERT_OK(db_->Update("Dept", fixture_.depts[0], "name",
-                             Value(StringPrintf("v%d", i))));
-  }
-  // Ten updates, one queue entry.
-  EXPECT_EQ(db_->replication().pending_propagation_count(), 1u);
-  FR_ASSERT_OK(db_->replication().FlushAllPendingPropagation());
-  EXPECT_EQ(HeadReplica(fixture_.emps[0]), Value(Padded("v9")));
-}
-
-TEST_F(DeferredPropagationTest, ReadQueryFlushesOnDemand) {
-  FR_ASSERT_OK(db_->Update("Dept", fixture_.depts[2], "name", Value("pull")));
-  EXPECT_EQ(db_->replication().pending_propagation_count(), 1u);
-  // A query that reads through the path triggers the flush, so it always
-  // sees fresh values.
-  ReadQuery query;
-  query.set_name = "Emp1";
-  query.projections = {"dept.name"};
-  ReadResult result;
-  FR_ASSERT_OK(db_->Retrieve(query, &result));
-  EXPECT_EQ(db_->replication().pending_propagation_count(), 0u);
-  EXPECT_EQ(result.rows[2][0], Value(Padded("pull")));
-}
-
-TEST_F(DeferredPropagationTest, PathClauseFlushesToo) {
-  FR_ASSERT_OK(db_->BuildIndex("emp_deptname", "Emp1", "dept.name"));
-  FR_ASSERT_OK(db_->Update("Dept", fixture_.depts[3], "name", Value("zz")));
-  ReadQuery query;
-  query.set_name = "Emp1";
-  query.projections = {"name"};
-  query.predicate = Predicate::Compare("dept.name", CompareOp::kEq,
-                                       Value(Padded("zz")));
-  ReadResult result;
-  FR_ASSERT_OK(db_->Retrieve(query, &result));
-  EXPECT_EQ(result.rows.size(), 5u);  // dept3's employees
-}
-
-TEST_F(DeferredPropagationTest, VerifyFlushesFirst) {
-  FR_ASSERT_OK(db_->Update("Dept", fixture_.depts[0], "name", Value("x")));
-  FR_ASSERT_OK(db_->replication().VerifyPathConsistency(path_->id));
-  EXPECT_EQ(db_->replication().pending_propagation_count(), 0u);
-}
-
-TEST_F(DeferredPropagationTest, RefRetargetStaysCorrectAfterFlush) {
-  // Structural maintenance is eager; value refreshes are queued.
-  FR_ASSERT_OK(db_->Update("Emp1", fixture_.emps[0], "dept",
-                           Value(fixture_.depts[3])));
-  FR_ASSERT_OK(db_->replication().FlushAllPendingPropagation());
-  FR_ASSERT_OK(db_->replication().VerifyPathConsistency(path_->id));
-  EXPECT_EQ(HeadReplica(fixture_.emps[0]), Value(Padded("dept3")));
-}
-
-TEST_F(DeferredPropagationTest, DropPathClearsQueue) {
-  FR_ASSERT_OK(db_->Update("Dept", fixture_.depts[0], "name", Value("x")));
-  EXPECT_EQ(db_->replication().pending_propagation_count(), 1u);
-  FR_ASSERT_OK(db_->DropReplication("Emp1.dept.name"));
-  EXPECT_EQ(db_->replication().pending_propagation_count(), 0u);
-}
-
-TEST_F(DeferredPropagationTest, RandomMixConvergesOnFlush) {
-  Random rng(314);
-  for (int step = 0; step < 120; ++step) {
-    int action = static_cast<int>(rng.Uniform(10));
-    if (action < 5) {
-      FR_ASSERT_OK(db_->Update("Dept",
-                               fixture_.depts[rng.Uniform(4)], "name",
-                               Value(StringPrintf("s%d", step))));
-    } else if (action < 8) {
-      FR_ASSERT_OK(db_->Update("Emp1", fixture_.emps[rng.Uniform(20)],
-                               "dept", Value(fixture_.depts[rng.Uniform(4)])));
-    } else {
-      FR_ASSERT_OK(db_->replication().FlushAllPendingPropagation());
-    }
-  }
-  FR_ASSERT_OK(db_->replication().VerifyPathConsistency(path_->id));
-}
-
-TEST(DeferredTwoLevelTest, InteriorRetargetQueues) {
-  auto db = OpenEmployeeDatabase();
-  auto fixture = PopulateEmployees(db.get(), 2, 4, 20);
-  ReplicateOptions options;
-  options.deferred = true;
-  FR_ASSERT_OK(db->Replicate("Emp1.dept.org.name", options));
-  const auto* path = db->catalog().FindPathBySpec("Emp1.dept.org.name");
-  FR_ASSERT_OK(
-      db->Update("Dept", fixture.depts[0], "org", Value(fixture.orgs[1])));
-  EXPECT_GE(db->replication().pending_propagation_count(), 1u);
-  FR_ASSERT_OK(db->replication().VerifyPathConsistency(path->id));
-  Object head;
-  FR_ASSERT_OK(db->Get("Emp1", fixture.emps[0], &head));
-  std::string padded = "org1";
-  padded.resize(20, '\0');
-  EXPECT_EQ(head.FindReplicaValues(path->id)->values[0], Value(padded));
-}
 
 // --- Inverse functions -----------------------------------------------------------
 
@@ -332,6 +185,47 @@ TEST(PersistenceTest, ReopenWithoutCheckpointFails) {
   auto reopened = Database::Open(options);
   EXPECT_FALSE(reopened.ok());
   EXPECT_TRUE(reopened.status().IsCorruption());
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, OlderFormatMagicFailsOpen) {
+  // A database written by an older on-disk format has different catalog
+  // field layouts; Open must refuse it by its header magic rather than
+  // decode shifted fields.
+  std::string path = ::testing::TempDir() + "/fieldrep_oldmagic.db";
+  std::remove(path.c_str());
+  {
+    Database::Options options;
+    options.file_path = path;
+    auto db_or = Database::Open(options);
+    ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+    auto db = std::move(db_or).value();
+    FR_ASSERT_OK(db->DefineType(TypeDescriptor("DEPT", {CharAttr("name", 20)})));
+    FR_ASSERT_OK(db->DefineType(TypeDescriptor(
+        "EMP", {CharAttr("name", 20), RefAttr("dept", "DEPT")})));
+    FR_ASSERT_OK(db->CreateSet("Dept", "DEPT"));
+    FR_ASSERT_OK(db->CreateSet("Emp1", "EMP"));
+    Oid dept, emp;
+    FR_ASSERT_OK(db->Insert("Dept", Object(0, {Value("toys")}), &dept));
+    FR_ASSERT_OK(
+        db->Insert("Emp1", Object(0, {Value("fred"), Value(dept)}), &emp));
+    FR_ASSERT_OK(db->Replicate("Emp1.dept.name", {}));
+    FR_ASSERT_OK(db->Checkpoint());
+  }
+  {
+    // Page 0 starts at file offset 0 with the 8-byte format magic.
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.is_open());
+    file.seekp(0);
+    file.write("FREP0002", 8);
+  }
+  Database::Options options;
+  options.file_path = path;
+  auto reopened = Database::Open(options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kNotSupported);
+  EXPECT_NE(reopened.status().ToString().find("FREP0002"), std::string::npos)
+      << reopened.status().ToString();
   std::remove(path.c_str());
 }
 

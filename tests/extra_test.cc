@@ -110,9 +110,11 @@ TEST(ParserTest, RetrieveRejectsMixedSets) {
 }
 
 TEST(ParserTest, DeferredOption) {
-  FR_ASSERT_RESULT(stmts, Parser::Parse("replicate Emp1.dept.name deferred"));
-  const auto& stmt = std::get<ReplicateStmt>(stmts[0]);
-  EXPECT_TRUE(stmt.options.deferred);
+  // Propagation is always eager; the old 'deferred' option is a parse error.
+  auto r = Parser::Parse("replicate Emp1.dept.name deferred");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("deferred"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(ParserTest, WhereOnReferencePath) {
@@ -277,22 +279,6 @@ TEST_F(InterpreterTest, CheckpointStatement) {
       "insert Things (v = 1);");
   std::string out = MustRun("checkpoint");
   EXPECT_NE(out.find("checkpoint written"), std::string::npos);
-}
-
-TEST_F(InterpreterTest, DeferredReplicationStatement) {
-  MustRun(
-      "define type DEPT ( name: char[20] );"
-      "define type EMP ( name: char[20], dept: ref DEPT );"
-      "create Dept: {own ref DEPT}; create Emp1: {own ref EMP};"
-      "insert Dept (name = \"d\") as $d;"
-      "insert Emp1 (name = \"e\", dept = $d);");
-  std::string out = MustRun("replicate Emp1.dept.name deferred");
-  EXPECT_NE(out.find("deferred"), std::string::npos);
-  MustRun("replace Dept (name = \"x\") where name = \"d\"");
-  EXPECT_EQ(db_->replication().pending_propagation_count(), 1u);
-  out = MustRun("retrieve (Emp1.dept.name)");
-  EXPECT_NE(out.find("\"x\""), std::string::npos);
-  EXPECT_EQ(db_->replication().pending_propagation_count(), 0u);
 }
 
 TEST_F(InterpreterTest, UnknownVariableFails) {

@@ -4,9 +4,11 @@
 
 namespace fieldrep::testing {
 
-std::unique_ptr<Database> OpenEmployeeDatabase(size_t pool_frames) {
+std::unique_ptr<Database> OpenEmployeeDatabase(size_t pool_frames,
+                                               bool enable_wal) {
   Database::Options options;
   options.buffer_pool_frames = pool_frames;
+  options.enable_wal = enable_wal;
   auto db_or = Database::Open(options);
   EXPECT_TRUE(db_or.ok()) << db_or.status().ToString();
   std::unique_ptr<Database> db = std::move(db_or).value();

@@ -24,8 +24,10 @@ namespace fieldrep::testing {
   } while (0)
 
 /// Builds the paper's Figure 1 employee database schema (ORG, DEPT, EMP
-/// types; Org, Dept, Emp1, Emp2 sets) in a fresh in-memory database.
-std::unique_ptr<Database> OpenEmployeeDatabase(size_t pool_frames = 4096);
+/// types; Org, Dept, Emp1, Emp2 sets) in a fresh in-memory database,
+/// with an in-memory write-ahead log when `enable_wal` is set.
+std::unique_ptr<Database> OpenEmployeeDatabase(size_t pool_frames = 4096,
+                                               bool enable_wal = false);
 
 /// Inserted fixture data handles.
 struct EmployeeFixture {
